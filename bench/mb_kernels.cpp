@@ -1,6 +1,7 @@
 // Kernel-hot-loop microbenchmark (ISSUE 4): measures the three layers of the
 // merged-execution fast path in isolation —
-//   * conv/pool interior fast path vs the generic clamping path, on a
+//   * conv/pool interior fast path vs the generic clamping path (conv:
+//     3x3, 1x1 and 3x3 stride 2, the shapes of the vector micro-kernel), on a
 //     brick-sized region with enough halo that the interior covers the whole
 //     output (the merged-execution steady state);
 //   * the same kernels on an exact window, where boundary slabs run through
@@ -85,10 +86,13 @@ struct StencilCase {
   }
 };
 
-StencilCase make_conv(i64 ch, i64 side, i64 margin) {
+/// A k×k convolution with stride `stride` and "same" padding (k/2).
+StencilCase make_conv(i64 ch, i64 side, i64 margin, i64 k = 3,
+                      i64 stride = 1) {
   StencilCase c;
   const int x = c.g.add_input("in", Shape{1, ch, side, side});
-  c.node_id = c.g.add_conv(x, "conv", Dims{3, 3}, ch, Dims{1, 1}, Dims{1, 1});
+  c.node_id = c.g.add_conv(x, "conv", Dims{k, k}, ch, Dims{stride, stride},
+                           Dims{k / 2, k / 2});
   c.finish(margin, /*seed=*/21);
   return c;
 }
@@ -216,6 +220,12 @@ int main(int argc, char** argv) {
   // margin 0: boundary rows/columns run the generic clamping path.
   ok &= bench_pair(make_conv(ch, side, 0), "conv3x3/boundary", calls,
                    &results);
+  // The vectorized conv micro-kernel's other two shapes: pointwise (1x1)
+  // and stride-2 strips.
+  ok &= bench_pair(make_conv(ch, side, 0, /*k=*/1), "conv1x1/interior", calls,
+                   &results);
+  ok &= bench_pair(make_conv(ch, side, 1, /*k=*/3, /*stride=*/2),
+                   "conv3x3s2/interior", calls, &results);
   ok &= bench_pair(make_pool(ch, side, 1), "pool3x3/interior", calls,
                    &results);
   ok &= bench_pair(make_pool(ch, side, 0), "pool3x3/boundary", calls,

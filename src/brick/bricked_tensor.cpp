@@ -2,22 +2,53 @@
 
 #include <algorithm>
 
+#include "util/odometer.hpp"
+
 namespace brickdl {
 namespace {
 
-/// Iterate all index vectors in [0, extent) in row-major order.
-template <typename Fn>
-void for_each_index(const Dims& extent, Fn&& fn) {
-  const i64 total = extent.product();
-  Dims index = Dims::filled(extent.rank(), 0);
-  for (i64 i = 0; i < total; ++i) {
-    fn(index);
-    for (int d = extent.rank() - 1; d >= 0; --d) {
-      if (++index[d] < extent[d]) break;
-      index[d] = 0;
+/// Splits an in-bounds row segment of blocked space into runs that stay
+/// inside one brick, resolving each brick through the map once per run.
+class BrickRuns {
+ public:
+  BrickRuns(const BrickGrid& grid, const BrickMap& map)
+      : map_(map), last_(grid.rank() - 1) {
+    row_major_strides(grid.brick, brick_stride_);
+    row_major_strides(grid.grid, grid_stride_);
+    for (int d = 0; d <= last_; ++d) brick_[d] = grid.brick[d];
+  }
+
+  /// fn(x, physical, offset, length) for each run of [x_lo, x_hi) on the
+  /// row `pos` (innermost entry unused): the run starts at innermost
+  /// coordinate x, at in-brick offset `offset` (channel 0) of brick
+  /// `physical`.
+  template <typename Fn>
+  void visit(const i64* pos, i64 x_lo, i64 x_hi, Fn&& fn) const {
+    if (x_lo >= x_hi) return;
+    i64 logical_row = 0;
+    i64 offset_row = 0;
+    for (int d = 0; d < last_; ++d) {
+      const i64 g = pos[d] / brick_[d];
+      logical_row += g * grid_stride_[d];
+      offset_row += (pos[d] - g * brick_[d]) * brick_stride_[d];
+    }
+    const i64 bx = brick_[last_];
+    for (i64 x = x_lo; x < x_hi;) {
+      const i64 g = x / bx;
+      const i64 end = std::min(x_hi, (g + 1) * bx);
+      fn(x, map_.physical(logical_row + g), offset_row + (x - g * bx),
+         end - x);
+      x = end;
     }
   }
-}
+
+ private:
+  const BrickMap& map_;
+  int last_;
+  i64 brick_[Dims::kMaxRank];
+  i64 brick_stride_[Dims::kMaxRank];
+  i64 grid_stride_[Dims::kMaxRank];
+};
 
 }  // namespace
 
@@ -118,32 +149,29 @@ void BrickedTensor::read_window(const Dims& lo, const Dims& extent,
   BDL_CHECK_MSG(static_cast<i64>(scratch.size()) >= needed,
                 "scratch too small: " << scratch.size() << " < " << needed);
   const i64 per_channel = extent.product();
-  for_each_index(extent, [&](const Dims& rel) {
-    Dims blocked = rel;
-    bool inside = true;
-    for (int i = 0; i < grid_.rank(); ++i) {
-      blocked[i] += lo[i];
-      if (blocked[i] < 0 || blocked[i] >= grid_.blocked[i]) inside = false;
-    }
-    const i64 rel_offset = extent.linear(rel);
-    if (!inside) {
-      for (i64 c = 0; c < channels(); ++c) {
-        scratch[static_cast<size_t>(c * per_channel + rel_offset)] = 0.0f;
-      }
-      return;
-    }
-    // Resolve the brick once per position and reuse across channels.
-    const Dims g = grid_.brick_of(blocked);
-    const Dims origin = grid_.brick_origin(g);
-    Dims in_brick = blocked;
-    for (int i = 0; i < grid_.rank(); ++i) in_brick[i] -= origin[i];
-    const float* data = brick_data(map_.physical_at(g));
-    const i64 in_offset = grid_.brick.linear(in_brick);
-    for (i64 c = 0; c < channels(); ++c) {
-      scratch[static_cast<size_t>(c * per_channel + rel_offset)] =
-          data[c * grid_.brick_elements() + in_offset];
-    }
-  });
+  const i64 brick_elements = grid_.brick_elements();
+  const int last = extent.rank() - 1;
+  const i64 width = extent[last];
+  const BrickRuns runs(grid_, map_);
+  for_each_window_row(
+      lo, extent, Dims::filled(grid_.rank(), 0), grid_.blocked,
+      [&](i64 row, const i64* pos, i64 x_lo, i64 x_hi) {
+        const i64 left = x_lo - lo[last];
+        const i64 right = lo[last] + width - x_hi;
+        for (i64 c = 0; c < channels(); ++c) {
+          float* dst = scratch.data() + c * per_channel + row;
+          zero_run(dst, left);
+          zero_run(dst + width - right, right);
+        }
+        runs.visit(pos, x_lo, x_hi, [&](i64 x, i64 physical, i64 offset,
+                                        i64 length) {
+          const float* src = brick_data(physical) + offset;
+          float* dst = scratch.data() + row + (x - lo[last]);
+          for (i64 c = 0; c < channels(); ++c) {
+            copy_run(src + c * brick_elements, length, dst + c * per_channel);
+          }
+        });
+      });
 }
 
 void BrickedTensor::write_window(const Dims& lo, const Dims& extent,
@@ -153,24 +181,21 @@ void BrickedTensor::write_window(const Dims& lo, const Dims& extent,
   BDL_CHECK_MSG(static_cast<i64>(scratch.size()) >= needed,
                 "scratch too small: " << scratch.size() << " < " << needed);
   const i64 per_channel = extent.product();
-  for_each_index(extent, [&](const Dims& rel) {
-    Dims blocked = rel;
-    for (int i = 0; i < grid_.rank(); ++i) {
-      blocked[i] += lo[i];
-      if (blocked[i] < 0 || blocked[i] >= grid_.blocked[i]) return;
-    }
-    const Dims g = grid_.brick_of(blocked);
-    const Dims origin = grid_.brick_origin(g);
-    Dims in_brick = blocked;
-    for (int i = 0; i < grid_.rank(); ++i) in_brick[i] -= origin[i];
-    float* data = brick_data(map_.physical_at(g));
-    const i64 in_offset = grid_.brick.linear(in_brick);
-    const i64 rel_offset = extent.linear(rel);
-    for (i64 c = 0; c < channels(); ++c) {
-      data[c * grid_.brick_elements() + in_offset] =
-          scratch[static_cast<size_t>(c * per_channel + rel_offset)];
-    }
-  });
+  const i64 brick_elements = grid_.brick_elements();
+  const int last = extent.rank() - 1;
+  const BrickRuns runs(grid_, map_);
+  for_each_window_row(
+      lo, extent, Dims::filled(grid_.rank(), 0), grid_.blocked,
+      [&](i64 row, const i64* pos, i64 x_lo, i64 x_hi) {
+        runs.visit(pos, x_lo, x_hi, [&](i64 x, i64 physical, i64 offset,
+                                        i64 length) {
+          float* dst = brick_data(physical) + offset;
+          const float* src = scratch.data() + row + (x - lo[last]);
+          for (i64 c = 0; c < channels(); ++c) {
+            copy_run(src + c * per_channel, length, dst + c * brick_elements);
+          }
+        });
+      });
 }
 
 }  // namespace brickdl

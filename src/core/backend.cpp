@@ -3,98 +3,11 @@
 #include <algorithm>
 
 #include "core/fault_hooks.hpp"
-#include "util/odometer.hpp"
+#include "tensor/window.hpp"
 #include "util/status.hpp"
 
 namespace brickdl {
 namespace {
-
-/// Gather a blocked-space window from a canonical tensor into [C, extent...]
-/// scratch, zero-filling out-of-bounds positions.
-void canonical_read_window(const Tensor& t, const Dims& lo, const Dims& extent,
-                           std::span<float> scratch) {
-  const Shape shape(t.dims());
-  const Dims bounds = shape.blocked_dims();
-  const i64 channels = shape.channels();
-  const i64 points = extent.product();
-  BDL_CHECK(static_cast<i64>(scratch.size()) >= channels * points);
-  for_each_index(extent, [&](const Dims& rel) {
-    Dims blocked = rel;
-    bool inside = true;
-    for (int d = 0; d < rel.rank(); ++d) {
-      blocked[d] += lo[d];
-      if (blocked[d] < 0 || blocked[d] >= bounds[d]) inside = false;
-    }
-    const i64 rel_offset = extent.linear(rel);
-    if (!inside) {
-      for (i64 c = 0; c < channels; ++c) {
-        scratch[static_cast<size_t>(c * points + rel_offset)] = 0.0f;
-      }
-      return;
-    }
-    // Canonical index [n, c, spatial...] from blocked [n, spatial...].
-    Dims index = Dims::filled(shape.rank(), 0);
-    index[0] = blocked[0];
-    for (int d = 1; d < blocked.rank(); ++d) index[1 + d] = blocked[d];
-    for (i64 c = 0; c < channels; ++c) {
-      index[1] = c;
-      scratch[static_cast<size_t>(c * points + rel_offset)] = t.at(index);
-    }
-  });
-}
-
-void canonical_write_window(Tensor& t, const Dims& lo, const Dims& extent,
-                            std::span<const float> scratch) {
-  const Shape shape(t.dims());
-  const Dims bounds = shape.blocked_dims();
-  const i64 channels = shape.channels();
-  const i64 points = extent.product();
-  BDL_CHECK(static_cast<i64>(scratch.size()) >= channels * points);
-  for_each_index(extent, [&](const Dims& rel) {
-    Dims blocked = rel;
-    for (int d = 0; d < rel.rank(); ++d) {
-      blocked[d] += lo[d];
-      if (blocked[d] < 0 || blocked[d] >= bounds[d]) return;
-    }
-    Dims index = Dims::filled(shape.rank(), 0);
-    index[0] = blocked[0];
-    for (int d = 1; d < blocked.rank(); ++d) index[1 + d] = blocked[d];
-    const i64 rel_offset = extent.linear(rel);
-    for (i64 c = 0; c < channels; ++c) {
-      index[1] = c;
-      t.at(index) = scratch[static_cast<size_t>(c * points + rel_offset)];
-    }
-  });
-}
-
-/// Copy the sub-window [lo, lo+extent) out of `slot` into congruent scratch
-/// carved from the worker's arena.
-ScratchSlot extract_subwindow(Arena& arena, const ScratchSlot& slot,
-                              const Dims& lo, const Dims& extent) {
-  ScratchSlot out;
-  out.lo = lo;
-  out.extent = extent;
-  out.channels = slot.channels;
-  out.live = true;
-  const i64 points = extent.product();
-  const i64 src_points = slot.extent.product();
-  out.data =
-      arena.alloc_zeroed(static_cast<size_t>(slot.channels * points));
-  for_each_index(extent, [&](const Dims& rel) {
-    Dims src_rel = rel;
-    for (int d = 0; d < rel.rank(); ++d) {
-      src_rel[d] = rel[d] + lo[d] - slot.lo[d];
-      if (src_rel[d] < 0 || src_rel[d] >= slot.extent[d]) return;  // keep zero
-    }
-    const i64 dst_off = extent.linear(rel);
-    const i64 src_off = slot.extent.linear(src_rel);
-    for (i64 c = 0; c < slot.channels; ++c) {
-      out.data[static_cast<size_t>(c * points + dst_off)] =
-          slot.data[static_cast<size_t>(c * src_points + src_off)];
-    }
-  });
-  return out;
-}
 
 bool covers(const ScratchSlot& slot, const Dims& lo, const Dims& extent) {
   for (int d = 0; d < lo.rank(); ++d) {
@@ -125,6 +38,7 @@ NumericBackend::NumericBackend(const Graph& graph, WeightStore& weights,
     : Backend(graph), weights_(weights), workers_(workers) {
   BDL_CHECK(workers >= 1);
   slots_.resize(static_cast<size_t>(workers));
+  region_inputs_.resize(static_cast<size_t>(workers));
   arenas_.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) arenas_.emplace_back();
 }
@@ -195,7 +109,8 @@ SlotId NumericBackend::load_window(int worker, TensorId src, const Dims& lo,
   slot.extent = extent;
   slot.channels = buf.shape.channels();
   slot.live = true;
-  slot.data = arenas_[static_cast<size_t>(worker)].alloc_zeroed(
+  // Both window reads write every element (zeros outside the tensor).
+  slot.data = arenas_[static_cast<size_t>(worker)].alloc(
       static_cast<size_t>(slot.channels * extent.product()));
   if (buf.layout != Layout::kBricked) {
     canonical_read_window(*buf.canonical, lo, extent, slot.data);
@@ -240,35 +155,32 @@ SlotId NumericBackend::compute(int worker, int node_id,
                                    "'"));
     }
   }
-  const std::vector<Shape> in_shapes = graph_.input_shapes(node);
   BDL_CHECK(inputs.size() == node.inputs.size());
 
   // Validate coverage: each slot must contain the window this region needs.
   Dims need_lo, need_extent;
   input_window_blocked(node, out_lo, out_extent, &need_lo, &need_extent);
 
-  std::vector<ScratchSlot> extracted;  // congruent copies for pointwise ops
-  std::vector<RegionInput> region_inputs;
-  region_inputs.reserve(inputs.size());
+  Arena& arena = arenas_[static_cast<size_t>(worker)];
+  std::vector<RegionInput>& region_inputs =
+      region_inputs_[static_cast<size_t>(worker)];
+  region_inputs.clear();
   for (size_t i = 0; i < inputs.size(); ++i) {
     ScratchSlot& slot = slot_ref(worker, inputs[i]);
     BDL_CHECK_MSG(slot.live, "computing from a freed slot");
     BDL_CHECK_MSG(covers(slot, need_lo, need_extent),
                   "slot window does not cover the required input window for "
                       << node.name);
-    const ScratchSlot* src = &slot;
+    RegionInput ri{slot.data, slot.lo, slot.extent, slot.channels};
     if (needs_exact_window(node.kind) &&
         !(slot.lo == out_lo && slot.extent == out_extent)) {
-      extracted.push_back(
-          extract_subwindow(arenas_[static_cast<size_t>(worker)], slot,
-                            out_lo, out_extent));
-      src = &extracted.back();
+      // Pointwise ops read a congruent copy carved from the arena.
+      const std::span<float> exact = arena.alloc(
+          static_cast<size_t>(slot.channels * out_extent.product()));
+      extract_subwindow(slot.data, slot.lo, slot.extent, slot.channels,
+                        out_lo, out_extent, exact);
+      ri = RegionInput{exact, out_lo, out_extent, slot.channels};
     }
-    RegionInput ri;
-    ri.data = src->data;
-    ri.lo = src->lo;
-    ri.extent = src->extent;
-    ri.channels = src->channels;
     region_inputs.push_back(ri);
   }
 
@@ -278,7 +190,7 @@ SlotId NumericBackend::compute(int worker, int node_id,
   out.extent = out_extent;
   out.channels = node.out_shape.channels();
   out.live = true;
-  out.data = arenas_[static_cast<size_t>(worker)].alloc_zeroed(
+  out.data = arena.alloc_zeroed(
       static_cast<size_t>(out.channels * out_extent.product()));
   compute_region(node, region_inputs, weights_.weights(node), out_lo,
                  out_extent, out.data);

@@ -174,6 +174,7 @@ class NumericBackend final : public Backend {
   std::vector<Buffer> buffers_;
   std::vector<std::vector<ScratchSlot>> slots_;  // [worker][slot]
   std::vector<Arena> arenas_;                    // [worker]
+  std::vector<std::vector<RegionInput>> region_inputs_;  // [worker], reused
 };
 
 class ModelBackend final : public Backend {

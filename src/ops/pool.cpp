@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <limits>
-#include <vector>
 
 #include "ops/region.hpp"
 #include "ops/region_interior.hpp"
@@ -70,7 +69,6 @@ void pool_interior(const Node& node, const RegionInput& input,
                    std::span<float> out) {
   const OpAttrs& a = node.attrs;
   const int rank = out_lo.rank();
-  const int spatial_rank = rank - 1;
   const i64 channels = input.channels;
   const i64 taps = a.window.product();
   const i64 in_points = input.extent.product();
@@ -80,24 +78,10 @@ void pool_interior(const Node& node, const RegionInput& input,
 
   i64 in_stride[Dims::kMaxRank];
   i64 out_stride[Dims::kMaxRank];
-  in_stride[rank - 1] = 1;
-  out_stride[rank - 1] = 1;
-  for (int d = rank - 2; d >= 0; --d) {
-    in_stride[d] = in_stride[d + 1] * input.extent[d + 1];
-    out_stride[d] = out_stride[d + 1] * out_extent[d + 1];
-  }
-
-  std::vector<i64> tap_off(static_cast<size_t>(taps));
-  {
-    i64 t = 0;
-    for_each_index(a.window, [&](const Dims& tap) {
-      i64 off = 0;
-      for (int d = 0; d < spatial_rank; ++d) {
-        off += tap[d] * in_stride[d + 1];
-      }
-      tap_off[static_cast<size_t>(t++)] = off;
-    });
-  }
+  row_major_strides(input.extent, in_stride);
+  row_major_strides(out_extent, out_stride);
+  i64 tap_off[detail::kMaxInteriorTaps];
+  detail::tap_offsets(a.window, dims, in_stride, tap_off);
 
   const int last = rank - 1;
   for (i64 c = 0; c < channels; ++c) {
@@ -120,7 +104,7 @@ void pool_interior(const Node& node, const RegionInput& input,
         double acc = is_max ? -std::numeric_limits<double>::infinity() : 0.0;
         for (i64 t = 0; t < taps; ++t) {
           const double v =
-              in_c[in_x + tap_off[static_cast<size_t>(t)]];
+              in_c[in_x + tap_off[t]];
           if (is_max) {
             acc = std::max(acc, v);
           } else {
@@ -166,9 +150,10 @@ void pool_region(const Node& node, const RegionInput& input, const Dims& out_lo,
   for (int d = 0; d < spatial_rank; ++d) {
     dims[d + 1] = {a.stride[d], -a.padding[d], 1, a.window[d]};
   }
-  i64 ilo[Dims::kMaxRank];
-  i64 ihi[Dims::kMaxRank];
-  if (!detail::interior_box(rank, dims, input.lo, input.extent, out_lo,
+  i64 ilo[Dims::kMaxRank] = {};
+  i64 ihi[Dims::kMaxRank] = {};
+  if (a.window.product() > detail::kMaxInteriorTaps ||
+      !detail::interior_box(rank, dims, input.lo, input.extent, out_lo,
                             out_extent, ilo, ihi)) {
     pool_box(node, input, out_lo, out_extent, out_lo, out_extent, out);
     return;

@@ -12,6 +12,13 @@
 // read as zero, which matches zero-padded convolution semantics. Max pooling
 // therefore also treats out-of-bounds as zero (documented divergence from
 // frameworks that ignore padding in max; consistent across all our paths).
+//
+// Vectorized kernels stay bit-identical to the scalar ones and to the eager
+// oracle. Each output element keeps its own double accumulator and the same
+// summation order (conv: kernel taps row-major, then the group's input
+// channels). SIMD lanes only compute different outputs side by side. A
+// float×float product is exact in double, so widening it in a vector lane
+// or fusing it into an FMA rounds exactly like a scalar multiply-then-add.
 #pragma once
 
 #include <span>
@@ -52,9 +59,10 @@ void mask_region_outside(const Dims& lo, const Dims& extent, i64 channels,
 
 // Individual kernels (exposed for unit testing; compute_region dispatches).
 // conv/pool split the output into an interior box (hand-flattened fast loop,
-// no per-tap validity checks) plus boundary slabs handled by the generic
-// clamping code; the *_generic variants run the clamping path over the whole
-// region and exist so tests can assert the fast path is bit-exact.
+// no per-tap validity checks; conv's runs a SIMD micro-kernel) plus boundary
+// slabs handled by the generic clamping code; the *_generic variants run the
+// clamping path over the whole region and exist so tests can assert the fast
+// path is bit-exact.
 void conv_region(const Node& node, const RegionInput& input,
                  std::span<const float> weights, const Dims& out_lo,
                  const Dims& out_extent, std::span<float> out);

@@ -58,6 +58,33 @@ inline bool interior_box(int rank, const StencilDim* dims, const Dims& win_lo,
   return true;
 }
 
+/// Upper bound on a stencil's tap count for the interior fast paths, which
+/// keep their per-tap offsets in a stack array. Larger kernels (never seen
+/// in the model zoo) run entirely through the generic path.
+inline constexpr i64 kMaxInteriorTaps = 512;
+
+/// Input-offset delta of each tap of `kernel` (row-major tap order, the
+/// generic paths' visit order) for a window with strides `in_stride`.
+/// `dims` holds the blocked dims, so spatial dim d is dims[d + 1].
+/// Requires kernel.product() <= kMaxInteriorTaps.
+inline void tap_offsets(const Dims& kernel, const StencilDim* dims,
+                        const i64* in_stride, i64* tap_off) {
+  const int spatial_rank = kernel.rank();
+  const i64 taps = kernel.product();
+  i64 tap[Dims::kMaxRank] = {};
+  for (i64 t = 0; t < taps; ++t) {
+    i64 off = 0;
+    for (int d = 0; d < spatial_rank; ++d) {
+      off += dims[d + 1].tapc * tap[d] * in_stride[d + 1];
+    }
+    tap_off[t] = off;
+    for (int d = spatial_rank - 1; d >= 0; --d) {
+      if (++tap[d] < kernel[d]) break;
+      tap[d] = 0;
+    }
+  }
+}
+
 /// Visit the (up to 2*rank) axis-aligned slabs covering
 /// [out_lo, out_lo+out_extent) minus the interior box [ilo, ihi). Slabs are
 /// disjoint: dims before `d` are clamped to the interior, dim `d` takes the

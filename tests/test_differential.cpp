@@ -289,6 +289,72 @@ TEST(FastPathPerf, WholeRegionInteriorConv) {
                              /*margin=*/3, /*seed=*/12, "whole-interior-conv");
 }
 
+// Shapes aimed at every edge of the vectorized conv micro-kernel (a strip of
+// 4 output positions along the innermost dim × a block of 4 output channels
+// of one group): channel tails that are not a multiple of the block and
+// groups smaller than one block (depthwise), stride 2 (a strip loads 8
+// floats; strips at the window's end shift their load back), dilation 2,
+// rows narrower than one strip, ragged row tails, the ResNet 7x7/s2 stem,
+// and fused ReLU. Each runs over the exact, wide-halo and random-tile
+// windows of sweep_windows.
+TEST(FastPathPerf, MicroKernelEdgeShapes) {
+  struct EdgeCase {
+    const char* label;
+    Shape in;
+    Dims kernel, stride, padding, dilation;
+    i64 out_channels;
+    i64 groups;
+    bool relu;
+  };
+  const EdgeCase cases[] = {
+      {"m6-tail", Shape{1, 5, 9, 9}, {3, 3}, {1, 1}, {1, 1}, {1, 1}, 6, 1,
+       false},
+      {"m9-tail-1x1", Shape{1, 7, 6, 10}, {1, 1}, {1, 1}, {0, 0}, {1, 1}, 9,
+       1, false},
+      {"m3-below-block", Shape{1, 4, 8, 8}, {3, 3}, {1, 1}, {1, 1}, {1, 1}, 3,
+       1, false},
+      {"depthwise", Shape{1, 8, 9, 9}, {3, 3}, {1, 1}, {1, 1}, {1, 1}, 8, 8,
+       false},
+      {"grouped-m6", Shape{1, 4, 8, 11}, {3, 3}, {1, 1}, {1, 1}, {1, 1}, 12,
+       2, false},
+      {"stride2-3x3", Shape{1, 5, 17, 17}, {3, 3}, {2, 2}, {1, 1}, {1, 1}, 8,
+       1, false},
+      {"stride2-1x1", Shape{1, 6, 14, 14}, {1, 1}, {2, 2}, {0, 0}, {1, 1}, 8,
+       1, false},
+      {"stride2-narrow", Shape{2, 3, 5, 5}, {3, 3}, {2, 2}, {1, 1}, {1, 1},
+       4, 1, false},
+      {"dilation2", Shape{1, 4, 12, 12}, {3, 3}, {1, 1}, {2, 2}, {2, 2}, 5, 1,
+       false},
+      {"width2", Shape{1, 3, 6, 2}, {3, 3}, {1, 1}, {1, 1}, {1, 1}, 4, 1,
+       false},
+      {"width3-1x1", Shape{2, 5, 4, 3}, {1, 1}, {1, 1}, {0, 0}, {1, 1}, 4, 1,
+       false},
+      {"ragged7", Shape{1, 4, 7, 7}, {3, 3}, {1, 1}, {1, 1}, {1, 1}, 4, 1,
+       false},
+      {"ragged13-relu", Shape{1, 4, 5, 13}, {3, 3}, {1, 1}, {1, 1}, {1, 1},
+       8, 1, true},
+      {"stem-7x7s2", Shape{1, 3, 40, 40}, {7, 7}, {2, 2}, {3, 3}, {1, 1}, 16,
+       1, true},
+      {"conv3d", Shape{1, 3, 5, 6, 7}, {3, 3, 3}, {1, 1, 1}, {1, 1, 1},
+       {1, 1, 1}, 5, 1, false},
+  };
+  Rng rng(0xed9e5);
+  u64 seed = 0xb000;
+  for (const EdgeCase& c : cases) {
+    Graph g("edge");
+    const int x = g.add_input("in", c.in);
+    const int node = g.add_conv(x, "op", c.kernel, c.out_channels, c.stride,
+                                c.padding, c.dilation, c.groups, c.relu);
+    sweep_windows(g, node, &rng, ++seed, c.label);
+  }
+  // Transposed stride-1 convs share the interior path (negative tap steps).
+  Graph g("edge_transposed");
+  const int x = g.add_input("in", Shape{1, 5, 6, 9});
+  const int node =
+      g.add_deconv(x, "op", Dims{3, 3}, 6, Dims{1, 1}, Dims{1, 1});
+  sweep_windows(g, node, &rng, ++seed, "transposed-m6");
+}
+
 // Pool analogues of the two extremes above (max pooling: out-of-window reads
 // as zero, the documented BrickDL padding semantics).
 TEST(FastPathPerf, EmptyAndWholeInteriorPool) {

@@ -16,7 +16,8 @@
 #                         through the atomic tmp+rename publish).
 #   2. ASan + UBSan:      the differential fuzz suite (random graphs through
 #                         every executor variant, paper and greedy
-#                         partitioners) plus the resilience, observability,
+#                         partitioners), the window-copy property tests,
+#                         plus the resilience, observability,
 #                         serving, partition, and plan-cache suites (includes
 #                         the malformed-parse corpus, JSON parse-back, and
 #                         the poisoned-cache-entry rejection paths).
@@ -60,6 +61,7 @@ if run_stage asan; then
   echo "== [asan] ASan+UBSan: differential fuzz + resilience + obs + serve + pipeline + partition + plan-cache suites =="
   cmake -B "$SRC_DIR/build-asan" -S "$SRC_DIR" -DBRICKDL_SANITIZE=address,undefined
   cmake --build "$SRC_DIR/build-asan" -j "$JOBS" \
+        --target brickdl_tests \
         --target brickdl_differential_tests --target brickdl_resilience_tests \
         --target brickdl_obs_tests --target brickdl_serve_tests \
         --target brickdl_pipeline_tests --target brickdl_partition_tests \
@@ -76,6 +78,10 @@ if run_stage asan; then
   ctest --test-dir "$SRC_DIR/build-asan" --output-on-failure --timeout 600 \
         -L 'differential|resilience|obs|perf|serve|pipeline|partition|plan_cache' \
         -E 'obs_smoke|plan_cache_smoke'
+  # The window-copy property tests (main suite): the row-wise gather and
+  # scatter copies clip and zero-fill against tensor and brick bounds.
+  ctest --test-dir "$SRC_DIR/build-asan" --output-on-failure --timeout 600 \
+        -R '^WindowCopy\.'
 fi
 
 if run_stage release; then
