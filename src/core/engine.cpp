@@ -5,6 +5,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <unordered_set>
@@ -58,6 +59,26 @@ void warm_pool(ThreadPool& pool, Backend& backend) {
     });
   }
   pool.wait_idle();
+}
+
+/// Build the pool one run (or one standalone subgraph call) executes on:
+/// min(memo_workers, backend workers) threads with `memo_parallel`,
+/// NUMA-warmed once when `numa_pin` is set; null without `memo_parallel`.
+/// The only place the engine creates threads; kInternal if it cannot.
+Status make_run_pool(const EngineOptions& options, Backend& backend,
+                     std::unique_ptr<ThreadPool>* pool) {
+  pool->reset();
+  if (!options.memo_parallel) return Status();
+  const int workers = std::min(options.memo_workers, backend.num_workers());
+  try {
+    *pool = std::make_unique<ThreadPool>(workers, options.numa_pin);
+    if (options.numa_pin) warm_pool(**pool, backend);
+  } catch (const std::exception& e) {
+    pool->reset();
+    return Status(StatusCode::kInternal,
+                  std::string("cannot start the thread pool: ") + e.what());
+  }
+  return Status();
 }
 
 }  // namespace
@@ -283,12 +304,19 @@ Status Engine::validate() const {
 Status run_planned_subgraph_checked(
     const Graph& graph, const PlannedSubgraph& planned, Backend& backend,
     const std::unordered_map<int, TensorId>& io, TensorId out,
-    const EngineOptions& options, MemoizedExecutor::Stats* stats_out) {
+    const EngineOptions& options, MemoizedExecutor::Stats* stats_out,
+    ThreadPool* pool) {
   if (stats_out) *stats_out = {};
   BDL_RETURN_IF_ERROR(validate_engine_options(options));
   const Subgraph& sg = planned.sg;
   if (out < 0) {
     return Status(StatusCode::kBadIoMap, "invalid terminal output tensor id");
+  }
+  if (pool && pool->size() > backend.num_workers()) {
+    return Status(StatusCode::kInvalidOptions,
+                  "thread pool of " + std::to_string(pool->size()) +
+                      " workers exceeds the backend's " +
+                      std::to_string(backend.num_workers()));
   }
   // The io map must cover every producer outside the subgraph; a silent miss
   // here used to surface as an unordered_map::at throw deep in an executor.
@@ -315,26 +343,29 @@ Status run_planned_subgraph_checked(
   full_io[sg.terminal()] = out;
   std::vector<TensorId> vendor_interior;
 
+  // A standalone call with memo_parallel builds the pool a run would have
+  // passed; it serves every strategy of this call.
+  std::unique_ptr<ThreadPool> owned_pool;
+  if (!pool) {
+    BDL_RETURN_IF_ERROR(make_run_pool(options, backend, &owned_pool));
+    pool = owned_pool.get();
+  }
+
   try {
     switch (planned.strategy) {
       case Strategy::kPadded: {
         const HaloPlan plan(graph, sg, planned.brick_extent);
         PaddedExecutor exec(graph, sg, plan, backend, full_io);
-        return exec.run_checked();
+        return exec.run_checked(pool);
       }
       case Strategy::kMemoized: {
         const int workers =
-            std::min(options.memo_workers, backend.num_workers());
+            pool ? pool->size()
+                 : std::min(options.memo_workers, backend.num_workers());
         MemoizedExecutor exec(graph, sg, planned.brick_extent, backend,
                               full_io, workers, options.memo_watchdog);
-        Status status;
-        if (options.memo_parallel) {
-          ThreadPool pool(workers, options.numa_pin);
-          if (options.numa_pin) warm_pool(pool, backend);
-          status = exec.run_parallel_checked(pool);
-        } else {
-          status = exec.run_checked();
-        }
+        const Status status =
+            pool ? exec.run_parallel_checked(*pool) : exec.run_checked();
         if (stats_out) *stats_out = exec.stats();
         return status;
       }
@@ -360,7 +391,7 @@ Status run_planned_subgraph_checked(
           obs::TraceSpan layer_span("layer", node.name, {{"node", nid}},
                                     options.trace);
           run_node_tiled(graph, node, backend, local, dst,
-                         options.vendor_tile_side);
+                         options.vendor_tile_side, pool);
         }
         return Status();
       }
@@ -393,8 +424,8 @@ MemoizedExecutor::Stats run_planned_subgraph(
 
 Status Engine::run_subgraph_barriered(
     Backend& backend, NumericBackend* numeric, ModelBackend* model,
-    size_t index, std::unordered_map<int, TensorId>& boundary,
-    EngineResult& result) {
+    ThreadPool* pool, size_t index,
+    std::unordered_map<int, TensorId>& boundary, EngineResult& result) {
   const PlannedSubgraph& planned = partition_.subgraphs[index];
   const Subgraph& sg = planned.sg;
   const Node& terminal = graph_.node(sg.terminal());
@@ -447,7 +478,7 @@ Status Engine::run_subgraph_barriered(
           options_.trace);
       const auto t0 = std::chrono::steady_clock::now();
       status = run_planned_subgraph_checked(graph_, attempt, backend, io,
-                                            out_id, options_, &stats);
+                                            out_id, options_, &stats, pool);
       attempt_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
@@ -532,7 +563,8 @@ Status Engine::run_subgraph_barriered(
 }
 
 bool Engine::try_run_chain(Backend& backend, NumericBackend* numeric,
-                           ModelBackend* model, size_t begin, size_t end,
+                           ModelBackend* model, ThreadPool* pool,
+                           size_t begin, size_t end,
                            std::unordered_map<int, TensorId>& boundary,
                            EngineResult& result) {
   const auto& subs = partition_.subgraphs;
@@ -582,20 +614,16 @@ bool Engine::try_run_chain(Backend& backend, NumericBackend* numeric,
     tally_before = model->tally();
   }
 
-  const int workers = std::min(options_.memo_workers, backend.num_workers());
+  const int workers =
+      pool ? pool->size()
+           : std::min(options_.memo_workers, backend.num_workers());
   MemoizedExecutor::Stats stats;
   Status status;
   const auto t0 = std::chrono::steady_clock::now();
   try {
     MemoizedExecutor exec(graph_, stages, backend, io, workers,
                           options_.memo_watchdog);
-    if (options_.memo_parallel) {
-      ThreadPool pool(workers, options_.numa_pin);
-      if (options_.numa_pin) warm_pool(pool, backend);
-      status = exec.run_parallel_checked(pool);
-    } else {
-      status = exec.run_checked();
-    }
+    status = pool ? exec.run_parallel_checked(*pool) : exec.run_checked();
     stats = exec.stats();
   } catch (const StatusError& e) {
     status = e.status();
@@ -705,6 +733,12 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
     }
   }
 
+  // One pool per run, shared by every strategy of every subgraph. It is not
+  // held by the Engine: Server may run one Engine from several threads at
+  // once, and each run keeps its own workers.
+  std::unique_ptr<ThreadPool> pool;
+  BDL_RETURN_IF_ERROR(make_run_pool(options_, backend, &pool));
+
   // Pipelined chains need the per-subgraph barrier gone; profile mode needs
   // it kept (it flushes the simulator at subgraph granularity for byte
   // attribution), so profiling implies the barriered schedule.
@@ -722,8 +756,8 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
       }
     }
     if (chain_end > index + 1) {
-      if (try_run_chain(backend, numeric, model, index, chain_end, boundary,
-                        result)) {
+      if (try_run_chain(backend, numeric, model, pool.get(), index, chain_end,
+                        boundary, result)) {
         index = chain_end;
         continue;
       }
@@ -733,8 +767,8 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
         obs::metrics().counter("engine.pipeline.chain_fallbacks").add(1);
       }
     }
-    BDL_RETURN_IF_ERROR(run_subgraph_barriered(backend, numeric, model, index,
-                                               boundary, result));
+    BDL_RETURN_IF_ERROR(run_subgraph_barriered(
+        backend, numeric, model, pool.get(), index, boundary, result));
     ++index;
   }
 

@@ -30,9 +30,9 @@ struct EngineOptions {
   std::optional<Strategy> force_strategy;
   i64 force_brick_side = 0;  ///< 0 = model-chosen
   int memo_workers = 16;     ///< virtual workers for the memoized scheduler
-  /// Drive memoized subgraphs with MemoizedExecutor::run_parallel() on a
-  /// real thread pool of `memo_workers` threads instead of the deterministic
-  /// virtual scheduler. Numeric stress mode (differential tests, TSan).
+  /// Run memoized, padded and vendor work on real threads, one pool per run
+  /// (DESIGN.md §9.6): the host production mode, used by perfbench. Off:
+  /// the deterministic virtual scheduler and serial brick/tile sweeps.
   bool memo_parallel = false;
   i64 vendor_tile_side = 32;
   /// Stall-watchdog tuning for memoized subgraphs (DESIGN.md §7).
@@ -182,8 +182,10 @@ class Engine {
   /// Execute partition_.subgraphs[index] through the degradation chain,
   /// exactly as the classic barriered loop did. Appends one SubgraphReport
   /// and publishes the terminal into `boundary` on success.
+  /// `pool` is the run's pool (null without memo_parallel).
   Status run_subgraph_barriered(Backend& backend, NumericBackend* numeric,
-                                ModelBackend* model, size_t index,
+                                ModelBackend* model, ThreadPool* pool,
+                                size_t index,
                                 std::unordered_map<int, TensorId>& boundary,
                                 EngineResult& result);
   /// Execute partition_.subgraphs[begin, end) — all memoized — as one
@@ -193,7 +195,8 @@ class Engine {
   /// running the members barriered, restoring the per-subgraph degradation
   /// ladder.
   bool try_run_chain(Backend& backend, NumericBackend* numeric,
-                     ModelBackend* model, size_t begin, size_t end,
+                     ModelBackend* model, ThreadPool* pool, size_t begin,
+                     size_t end,
                      std::unordered_map<int, TensorId>& boundary,
                      EngineResult& result);
 
@@ -208,11 +211,14 @@ class Engine {
 /// The io map must cover every producer outside the subgraph (kBadIoMap
 /// names the offending node otherwise). On success `*stats_out` (if given)
 /// holds the memoized protocol counters (zeros for other strategies).
+/// With `pool` (at most `backend.num_workers()` threads), every strategy
+/// that has a threaded path runs on it; without one, `options.memo_parallel`
+/// builds a pool for this call, and otherwise everything runs serially.
 Status run_planned_subgraph_checked(
     const Graph& graph, const PlannedSubgraph& planned, Backend& backend,
     const std::unordered_map<int, TensorId>& io, TensorId out,
     const EngineOptions& options,
-    MemoizedExecutor::Stats* stats_out = nullptr);
+    MemoizedExecutor::Stats* stats_out = nullptr, ThreadPool* pool = nullptr);
 
 /// Throwing wrapper (legacy call sites).
 MemoizedExecutor::Stats run_planned_subgraph(

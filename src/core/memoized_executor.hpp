@@ -26,8 +26,9 @@
 //                     protocol step per worker per tick. This models many
 //                     concurrently-resident blocks on one thread, so conflict
 //                     counts are reproducible; used by the model benches.
-//  * run_parallel() — one OS thread per worker (numeric stress mode): the
-//                     protocol must be linearizable, and the tests hammer it.
+//  * run_parallel() — one OS thread per worker (the engine's host mode,
+//                     EngineOptions::memo_parallel): the protocol must be
+//                     linearizable, and the tests hammer it.
 //
 // Resilience (DESIGN.md §7): the paper's protocol assumes every worker
 // eventually publishes. This implementation does not — a stall watchdog

@@ -27,10 +27,10 @@ class PaddedExecutor {
                  const std::unordered_map<int, TensorId>& io);
 
   /// Execute all terminal bricks. With `pool`, bricks run concurrently on
-  /// real threads (numeric stress mode); otherwise a deterministic serial
-  /// sweep assigns contiguous brick ranges to backend workers, mirroring GPU
-  /// block scheduling. A faulting kernel aborts the sweep and returns a
-  /// classified kKernelFailure; scratch is discarded either way.
+  /// real threads (the engine's run-scoped pool); otherwise a deterministic
+  /// serial sweep assigns contiguous brick ranges to backend workers,
+  /// mirroring GPU block scheduling. A faulting kernel aborts the sweep and
+  /// returns a classified kKernelFailure; scratch is discarded either way.
   Status run_checked(ThreadPool* pool = nullptr);
   /// Throwing wrapper (legacy call sites).
   void run(ThreadPool* pool = nullptr) { run_checked(pool).throw_if_error(); }

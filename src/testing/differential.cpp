@@ -156,6 +156,15 @@ struct DiffRun {
       EngineOptions eo;
       eo.force_strategy = Strategy::kVendor;
       engine_variant("vendor", eo, 4);
+      if (o.memo_parallel) {
+        // Tiles on the run's pool, refined to 4 per worker; 13-wide start
+        // tiles refine through odd, ragged sides (13 → 7 → 4).
+        eo.memo_parallel = true;
+        eo.memo_workers = 4;
+        engine_variant("vendor-par", eo, 4);
+        eo.vendor_tile_side = 13;
+        engine_variant("vendor-par-t13", eo, 4);
+      }
     }
     if (o.fused_baselines) {
       for (FusionRules rules :
@@ -185,6 +194,11 @@ struct DiffRun {
           eo.force_strategy = Strategy::kPadded;
           eo.force_brick_side = side;
           engine_variant("padded" + b + p, eo, 4);
+          if (o.memo_parallel) {
+            eo.memo_parallel = true;
+            eo.memo_workers = 4;
+            engine_variant("padded" + b + "-par" + p, eo, 4);
+          }
         }
         {
           EngineOptions eo;

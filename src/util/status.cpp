@@ -28,6 +28,8 @@ const char* status_code_name(StatusCode code) {
       return "kShuttingDown";
     case StatusCode::kUnknownSchema:
       return "kUnknownSchema";
+    case StatusCode::kInternal:
+      return "kInternal";
   }
   return "k?";
 }

@@ -33,6 +33,7 @@ enum class StatusCode : u8 {
   kDeadlineExceeded, ///< a request's deadline passed (or cannot be met) — shed
   kShuttingDown,     ///< the server is draining; no new work is admitted
   kUnknownSchema,    ///< a versioned artifact carries an unrecognized schema
+  kInternal,         ///< the runtime failed (e.g. threads could not start)
 };
 
 const char* status_code_name(StatusCode code);

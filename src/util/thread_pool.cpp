@@ -60,7 +60,10 @@ void ThreadPool::parallel_for_ranges(
   auto state = std::make_shared<State>();
 
   const bool traced = obs::Tracer::enabled();
-  const int fanout = size();
+  // No more tasks than there are chunks: a task beyond the chunk count would
+  // only wake a worker to find the cursor already past `n`.
+  const int fanout =
+      static_cast<int>(std::min<i64>(size(), ceil_div(n, grain)));
   for (int w = 0; w < fanout; ++w) {
     submit([state, n, grain, traced, &f](int worker) {
       i64 resolved = 0;
@@ -94,7 +97,11 @@ void ThreadPool::parallel_for_ranges(
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&] { return state->done.load() == n; });
   if (state->failed.load()) {
-    std::exception_ptr error = state->error;
+    // Move, not copy: a straggler may drop the last State reference while
+    // the caller still reads the exception. With the only reference here,
+    // the exception is freed on this thread, and ThreadSanitizer (which
+    // cannot see libstdc++'s own exception refcount) reports no race.
+    std::exception_ptr error = std::move(state->error);
     lock.unlock();
     std::rethrow_exception(error);
   }

@@ -49,7 +49,8 @@ class ThreadPool {
 
   /// Chunked form: f(begin, end, worker) is called once per claimed chunk
   /// [begin, end) of [0, n), chunk size `grain`. parallel_for is a wrapper
-  /// over this.
+  /// over this. It wakes min(size(), ceil(n / grain)) workers, so a single
+  /// chunk runs on one worker and leaves the rest asleep.
   void parallel_for_ranges(
       i64 n, i64 grain,
       const std::function<void(i64 begin, i64 end, int worker)>& f);

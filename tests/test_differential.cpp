@@ -92,6 +92,19 @@ TEST(DifferentialRegression, DepthwiseDilatedOddExtents) {
   expect_graph_agrees(std::move(g), "depthwise-dilated");
 }
 
+// Pooled vendor tiles ("vendor-par", "vendor-par-t13") refine their tiles to
+// 4 per worker: extents 13 and 7 split into ragged odd tiles, and a width-1
+// layer can only split along its other side.
+TEST(DifferentialRegression, PooledVendorTilesOddExtents) {
+  Graph g("pooled_vendor_odd");
+  int x = g.add_input("in", Shape{1, 2, 13, 7});
+  x = g.add_conv(x, "c0", Dims{3, 3}, 3, Dims{1, 1}, Dims{1, 1});
+  x = g.add_conv(x, "c1", Dims{1, 7}, 2, Dims{1, 1}, Dims{0, 0});
+  x = g.add_pool(x, "p0", PoolKind::kMax, Dims{3, 1}, Dims{2, 1}, Dims{1, 0});
+  g.add_relu(x, "r0");
+  expect_graph_agrees(std::move(g), "pooled-vendor-odd");
+}
+
 // ---------------------------------------------------------------------------
 // Fast-path kernel sweep (CTest label `perf` — see tests/CMakeLists.txt).
 //

@@ -177,8 +177,10 @@ TEST(Resilience, RunPlannedSubgraphReportsMissingIoEntry) {
 
 // ---------------------------------------------------------------------------
 // Fault matrix: (kernel failure | NaN poison) x (padded | memoized-virtual |
-// memoized-parallel). Every cell must recover through the degradation chain
-// and still produce reference-exact output.
+// memoized-parallel | padded-parallel). Every cell must recover through the
+// degradation chain and still produce reference-exact output. The parallel
+// modes run every rung — memoized, padded bricks, vendor tiles — on the
+// run's thread pool.
 
 struct EngineMode {
   const char* name;
@@ -190,6 +192,7 @@ constexpr EngineMode kModes[] = {
     {"padded", Strategy::kPadded, false},
     {"memoized-virtual", Strategy::kMemoized, false},
     {"memoized-parallel", Strategy::kMemoized, true},
+    {"padded-parallel", Strategy::kPadded, true},
 };
 
 EngineOptions resilient_options(const EngineMode& mode) {
@@ -268,6 +271,14 @@ TEST(ResilienceFaultMatrix, NaNPoisonMemoizedVirtual) {
 }
 TEST(ResilienceFaultMatrix, NaNPoisonMemoizedParallel) {
   check_fault_recovered(kModes[2], FaultKind::kNaNPoison,
+                        StatusCode::kKernelFailure);
+}
+TEST(ResilienceFaultMatrix, KernelFailurePaddedParallel) {
+  check_fault_recovered(kModes[3], FaultKind::kKernelFailure,
+                        StatusCode::kKernelFailure);
+}
+TEST(ResilienceFaultMatrix, NaNPoisonPaddedParallel) {
+  check_fault_recovered(kModes[3], FaultKind::kNaNPoison,
                         StatusCode::kKernelFailure);
 }
 
@@ -456,6 +467,34 @@ TEST(ResilienceDegradation, UnrecoverableFailureEmitsReplayLine) {
   EXPECT_NE(stderr_text.find("unrecoverable"), std::string::npos)
       << stderr_text;
   EXPECT_NE(stderr_text.find("replay:"), std::string::npos) << stderr_text;
+}
+
+// A node that faults on every kernel defeats the pooled padded bricks and
+// then a pooled vendor tile: the tile's throw must cross the pool, be
+// classified kKernelFailure, and end the ladder with a replay line.
+TEST(ResilienceDegradation, PooledVendorTileFaultIsClassified) {
+  const Graph g = build_conv_chain_2d(3, 1, 20, 3);
+  WeightStore ws(5);
+  Tensor input(g.node(0).out_shape);
+  Rng rng(7);
+  input.fill_random(rng);
+
+  ScopedFaultInjection scoped;
+  FaultSpec spec;
+  spec.node_id = g.outputs()[0];
+  spec.max_fires = -1;
+  scoped.injector().arm(spec);
+
+  NumericBackend backend(g, ws, 4);
+  Engine engine(g, resilient_options(kModes[3]));
+  testing::internal::CaptureStderr();
+  const auto result = engine.run_checked(backend, &input);
+  const std::string stderr_text = testing::internal::GetCapturedStderr();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kKernelFailure);
+  EXPECT_GE(scoped.injector().fires(FaultKind::kKernelFailure), 2);
+  EXPECT_NE(stderr_text.find("[padded: "), std::string::npos) << stderr_text;
+  EXPECT_NE(stderr_text.find("[vendor: "), std::string::npos) << stderr_text;
 }
 
 TEST(ResilienceDegradation, FallbackDisabledSurfacesRawStatus) {

@@ -2,7 +2,8 @@
 # Sanitizer matrix for the concurrency-sensitive and fuzzed code paths.
 #
 #   1. ThreadSanitizer:   memoized executor (run_parallel CAS protocol),
-#                         wavefront executor, thread pool, the resilience
+#                         wavefront executor, thread pool, vendor tiles on
+#                         the run-scoped pool (EnginePool), the resilience
 #                         suite (stall watchdog, tag repair, fault injection),
 #                         the observability suite (concurrent metrics,
 #                         trace ring buffers, mid-run stats snapshots), the
@@ -46,7 +47,7 @@ STAGES=${STAGES:-"tsan asan release"}
 run_stage() { [[ " $STAGES " == *" $1 "* ]]; }
 
 if run_stage tsan; then
-  echo "== [tsan] ThreadSanitizer: memoized / wavefront / thread-pool / resilience / obs / serve / pipeline / partition / plan-cache =="
+  echo "== [tsan] ThreadSanitizer: memoized / wavefront / thread-pool / engine-pool / resilience / obs / serve / pipeline / partition / plan-cache =="
   cmake -B "$SRC_DIR/build-tsan" -S "$SRC_DIR" -DBRICKDL_SANITIZE=thread
   cmake --build "$SRC_DIR/build-tsan" -j "$JOBS" \
         --target brickdl_tests --target brickdl_resilience_tests \
@@ -54,7 +55,7 @@ if run_stage tsan; then
         --target brickdl_pipeline_tests --target brickdl_partition_tests \
         --target brickdl_plan_cache_tests
   ctest --test-dir "$SRC_DIR/build-tsan" --output-on-failure --timeout 600 \
-        -R 'MemoizedExecutor|Wavefront|ThreadPool|Resilience|Obs|Serve|Pipeline|GreedyPartitioner|PlanCache'
+        -R 'MemoizedExecutor|Wavefront|ThreadPool|EnginePool|Resilience|Obs|Serve|Pipeline|GreedyPartitioner|PlanCache'
 fi
 
 if run_stage asan; then
