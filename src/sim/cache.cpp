@@ -4,28 +4,23 @@ namespace brickdl {
 
 namespace {
 
-template <typename Block>
-void init_blocks(std::vector<u64>* storage, i64 num_sets, int ways) {
-  using Tag = typename Block::TagType;
-  storage->assign((static_cast<size_t>(num_sets) * sizeof(Block) + 7) / 8, 0);
-  Block* blocks = reinterpret_cast<Block*>(storage->data());
-  for (i64 s = 0; s < num_sets; ++s) {
-    for (int w = 0; w < ways; ++w) {
-      blocks[s].tags[w] = static_cast<Tag>(~Tag{0});
-    }
-  }
+i64 checked_num_sets(i64 capacity_bytes, int ways, i64 line_bytes) {
+  BDL_CHECK(capacity_bytes > 0 && ways > 0 && line_bytes > 0);
+  const i64 num_sets = capacity_bytes / (ways * line_bytes);
+  BDL_CHECK_MSG(num_sets > 0, "cache too small for its associativity");
+  return num_sets;
 }
 
 }  // namespace
 
 CacheModel::CacheModel(i64 capacity_bytes, int ways, i64 line_bytes)
-    : line_bytes_(line_bytes), ways_(ways) {
-  BDL_CHECK(capacity_bytes > 0 && ways > 0 && line_bytes > 0);
+    : line_bytes_(line_bytes),
+      ways_(ways),
+      num_sets_(checked_num_sets(capacity_bytes, ways, line_bytes)),
+      split_(num_sets_),
+      touched_(1) {
   BDL_CHECK_MSG(ways <= kMaxWays,
                 "associativity above 64 overflows the way masks");
-  num_sets_ = capacity_bytes / (ways * line_bytes);
-  BDL_CHECK_MSG(num_sets_ > 0, "cache too small for its associativity");
-  fastmod_m_ = ~u64{0} / static_cast<u64>(num_sets_) + 1;
   if (ways_ == 4) {
     geometry_ = Geometry::kWays4;
   } else if (ways_ == 16) {
@@ -38,28 +33,27 @@ CacheModel::CacheModel(i64 capacity_bytes, int ways, i64 line_bytes)
 }
 
 void CacheModel::init_storage() {
-  switch (geometry_) {
-    case Geometry::kWays4:
-      block_bytes_ = sizeof(SetBlock<4, u32>);
-      init_blocks<SetBlock<4, u32>>(&storage_, num_sets_, ways_);
-      break;
-    case Geometry::kWays16:
-      block_bytes_ = sizeof(SetBlock<16, u32>);
-      init_blocks<SetBlock<16, u32>>(&storage_, num_sets_, ways_);
-      break;
-    case Geometry::kWays16Narrow:
-      block_bytes_ = sizeof(SetBlock<16, u16>);
-      init_blocks<SetBlock<16, u16>>(&storage_, num_sets_, ways_);
-      break;
-    default:
-      block_bytes_ = sizeof(SetBlock<kMaxWays, u32>);
-      init_blocks<SetBlock<kMaxWays, u32>>(&storage_, num_sets_, ways_);
-      break;
+  dispatch([&]<int W, typename Tag>() {
+    using Block = SetBlock<W, Tag>;
+    block_bytes_ = sizeof(Block);
+    storage_.assign((static_cast<size_t>(num_sets_) * sizeof(Block) + 7) / 8,
+                    0);
+    for (i64 s = 0; s < num_sets_; ++s) {
+      Block* blk = block<W, Tag>(static_cast<size_t>(s));
+      for (int w = 0; w < ways_; ++w) blk->tags[w] = empty_tag<Tag>();
+    }
+  });
+}
+
+bool CacheModel::clean() const {
+  for (const TouchedSets& touched : touched_) {
+    if (!touched.sets.empty()) return false;
   }
+  return true;
 }
 
 bool CacheModel::refresh_storage_if_clean() {
-  if (!touched_sets_.empty()) return false;
+  if (!clean()) return false;
   // Every touched set has been flushed, so all tags are empty: re-running
   // the initializer reproduces the current logical state exactly, but the
   // freshly assigned vector's pages are committed by the *calling* thread.
@@ -68,32 +62,32 @@ bool CacheModel::refresh_storage_if_clean() {
   return true;
 }
 
-template <int W, typename Tag>
-bool CacheModel::contains_ways(u64 line) const {
-  const u32 line32 = check_line(line);
-  size_t set;
-  u32 quot;
-  split_line(line32, &set, &quot);
-  const Tag key = make_tag<Tag>(line32, quot);
-  const SetBlock<W, Tag>* blk = block<W, Tag>(set);
-  const int ways = W == kMaxWays ? ways_ : W;
-  for (int w = 0; w < ways; ++w) {
-    if (blk->tags[w] == key) return true;
-  }
-  return false;
+void CacheModel::set_partitions(int parts) {
+  BDL_CHECK(parts >= 1 && std::has_single_bit(static_cast<unsigned>(parts)));
+  BDL_CHECK_MSG(clean(), "cache partitions change only while clean");
+  partition_mask_ = static_cast<u32>(parts - 1);
+  touched_ = std::vector<TouchedSets>(static_cast<size_t>(parts));
+  // Each partition owns an equal share of the runs of 2^kPartitionShift
+  // sets, give or take one run.
+  const size_t share =
+      static_cast<size_t>(num_sets_ / parts) + (size_t{1} << kPartitionShift);
+  for (TouchedSets& touched : touched_) touched.sets.reserve(share);
 }
 
 bool CacheModel::contains(u64 line) const {
-  switch (geometry_) {
-    case Geometry::kWays4:
-      return contains_ways<4, u32>(line);
-    case Geometry::kWays16:
-      return contains_ways<16, u32>(line);
-    case Geometry::kWays16Narrow:
-      return contains_ways<16, u16>(line);
-    default:
-      return contains_ways<kMaxWays, u32>(line);
-  }
+  const u32 line32 = LineSplitter::check_line(line);
+  size_t set;
+  u32 quot;
+  split_.split(line32, &set, &quot);
+  return dispatch([&]<int W, typename Tag>() {
+    const Tag key = make_tag<Tag>(line32, quot);
+    const SetBlock<W, Tag>* blk = block<W, Tag>(set);
+    const int ways = W == kMaxWays ? ways_ : W;
+    for (int w = 0; w < ways; ++w) {
+      if (blk->tags[w] == key) return true;
+    }
+    return false;
+  });
 }
 
 i64 CacheModel::flush(std::vector<u64>* dirty_lines) {
@@ -102,41 +96,25 @@ i64 CacheModel::flush(std::vector<u64>* dirty_lines) {
   });
 }
 
-template <int W, typename Tag>
-void CacheModel::invalidate_ways(u64 line) {
-  const u32 line32 = check_line(line);
+void CacheModel::invalidate(u64 line) {
+  const u32 line32 = LineSplitter::check_line(line);
   size_t set;
   u32 quot;
-  split_line(line32, &set, &quot);
-  const Tag key = make_tag<Tag>(line32, quot);
-  SetBlock<W, Tag>* blk = block<W, Tag>(set);
-  const int ways = W == kMaxWays ? ways_ : W;
-  for (int w = 0; w < ways; ++w) {
-    if (blk->tags[w] == key) {
-      const u64 bit = u64{1} << static_cast<unsigned>(w);
-      blk->tags[w] = empty_tag<Tag>();
-      blk->valid &= ~bit;
-      blk->dirty &= ~bit;
-      return;
+  split_.split(line32, &set, &quot);
+  dispatch([&]<int W, typename Tag>() {
+    const Tag key = make_tag<Tag>(line32, quot);
+    SetBlock<W, Tag>* blk = block<W, Tag>(set);
+    const int ways = W == kMaxWays ? ways_ : W;
+    for (int w = 0; w < ways; ++w) {
+      if (blk->tags[w] == key) {
+        const u64 bit = u64{1} << static_cast<unsigned>(w);
+        blk->tags[w] = empty_tag<Tag>();
+        blk->valid &= ~bit;
+        blk->dirty &= ~bit;
+        return;
+      }
     }
-  }
-}
-
-void CacheModel::invalidate(u64 line) {
-  switch (geometry_) {
-    case Geometry::kWays4:
-      invalidate_ways<4, u32>(line);
-      break;
-    case Geometry::kWays16:
-      invalidate_ways<16, u32>(line);
-      break;
-    case Geometry::kWays16Narrow:
-      invalidate_ways<16, u16>(line);
-      break;
-    default:
-      invalidate_ways<kMaxWays, u32>(line);
-      break;
-  }
+  });
 }
 
 }  // namespace brickdl

@@ -26,6 +26,14 @@
 // Replacement semantics are bit-identical to the original AoS
 // implementation: on a miss the victim is the highest-index invalid way if
 // any exists, else the lowest-index way with the minimum LRU tick.
+//
+// Sets are independent: a probe reads and writes only its own set's block.
+// So a probe may be applied by any thread, as long as each set sees its
+// probes in the original order and no two threads probe one set at once.
+// `set_partitions` splits the sets into interleaved partitions with
+// separate touched-set lists; MemoryHierarchySim runs each partition of its
+// L2 on its own shard thread, splitting lines on the emitting thread
+// (`LineSplitter`) and applying the probes there with `access_split`.
 #pragma once
 
 #include <bit>
@@ -36,6 +44,29 @@
 namespace brickdl {
 
 class CacheModel {
+  /// A line index that can never occur (checked by LineSplitter).
+  static constexpr u32 kEmptyTag = ~u32{0};
+  static constexpr int kMaxWays = 64;  ///< way-mask width (checked in ctor)
+
+  /// Compile-time block geometries the runtime (ways, num_sets) pair maps to.
+  enum class Geometry : u8 { kWays4, kWays16, kWays16Narrow, kGeneric };
+
+  /// Calls `fn.template operator()<W, Tag>()` for this cache's geometry
+  /// (defined ahead of its callers: its return type is deduced).
+  template <typename Fn>
+  decltype(auto) dispatch(Fn&& fn) const {
+    switch (geometry_) {
+      case Geometry::kWays4:
+        return fn.template operator()<4, u32>();
+      case Geometry::kWays16:
+        return fn.template operator()<16, u32>();
+      case Geometry::kWays16Narrow:
+        return fn.template operator()<16, u16>();
+      default:
+        return fn.template operator()<kMaxWays, u32>();
+    }
+  }
+
  public:
   struct AccessResult {
     bool hit = false;
@@ -43,10 +74,101 @@ class CacheModel {
     u64 evicted_line = 0;  ///< line index, valid when evicted_dirty
   };
 
+  /// Maps a line index to its set (line % num_sets) and per-set quotient
+  /// (line / num_sets). The set count is a runtime value, so the compiler
+  /// cannot strength-reduce the division; one 128-bit multiply yields both
+  /// instead: Lemire's fastmod on the low half is the set, the high half the
+  /// quotient — exact for 32-bit line and set counts.
+  class LineSplitter {
+   public:
+    explicit LineSplitter(i64 num_sets)
+        : fastmod_m_(~u64{0} / static_cast<u64>(num_sets) + 1),
+          num_sets_(num_sets) {}
+
+    /// The set index alone (a single multiply chain).
+    size_t set_of(u32 line) const {
+      const u64 low = fastmod_m_ * line;
+      return static_cast<size_t>(
+          (static_cast<unsigned __int128>(low) * static_cast<u64>(num_sets_)) >>
+          64);
+    }
+
+    void split(u32 line, size_t* set, u32* quot) const {
+      const unsigned __int128 prod =
+          static_cast<unsigned __int128>(fastmod_m_) * line;
+      *quot = static_cast<u32>(static_cast<u64>(prod >> 64));
+      *set = static_cast<size_t>(
+          (static_cast<unsigned __int128>(static_cast<u64>(prod)) *
+           static_cast<u64>(num_sets_)) >>
+          64);
+    }
+
+    /// split() with a one-entry incremental cache. The emitters' access
+    /// streams are dominated by short 2–3 line sequential runs (one window
+    /// row is a handful of lines), and line+1 maps to set+1 — wrapping to
+    /// set 0 exactly when the quotient advances — so the common next-line
+    /// probe derives (set, quot) with an increment and a compare instead of
+    /// the 128-bit fastmod multiply. Bit-identical by construction: for
+    /// line = quot * num_sets + set with set < num_sets (Euclidean
+    /// division), line+1 has remainder set+1 unless set+1 == num_sets, where
+    /// it is (quot+1, 0).
+    void split_cached(u32 line, size_t* set, u32* quot) {
+      if (cache_enabled_ && valid_) {
+        if (line == last_line_) {
+          *set = last_set_;
+          *quot = last_quot_;
+          return;
+        }
+        if (line == last_line_ + 1) {
+          last_line_ = line;
+          if (++last_set_ == static_cast<size_t>(num_sets_)) {
+            last_set_ = 0;
+            ++last_quot_;
+          }
+          *set = last_set_;
+          *quot = last_quot_;
+          return;
+        }
+      }
+      split(line, set, quot);
+      valid_ = true;
+      last_line_ = line;
+      last_set_ = *set;
+      last_quot_ = *quot;
+    }
+
+    /// Disable the incremental cache (tests compare the fast path's
+    /// counters against the pure fastmod derivation bit for bit).
+    void set_cache_enabled(bool enabled) {
+      cache_enabled_ = enabled;
+      valid_ = false;
+    }
+
+    /// The 32-bit line index the tags store; hard-fails past the bound.
+    static u32 check_line(u64 line) {
+      BDL_CHECK_MSG(line < static_cast<u64>(kEmptyTag),
+                    "simulated line index overflows the 32-bit cache tag "
+                    "(more than ~128 GB of simulated address space)");
+      return static_cast<u32>(line);
+    }
+
+   private:
+    u64 fastmod_m_;  ///< UINT64_MAX / num_sets + 1
+    i64 num_sets_;
+    bool cache_enabled_ = true;
+    bool valid_ = false;
+    u32 last_line_ = 0;
+    u32 last_quot_ = 0;
+    size_t last_set_ = 0;
+  };
+
   CacheModel(i64 capacity_bytes, int ways, i64 line_bytes);
 
   i64 line_bytes() const { return line_bytes_; }
   i64 num_sets() const { return num_sets_; }
+  /// A splitter for this geometry, for callers that split lines on one
+  /// thread and apply the probes (`access_split`) on another.
+  LineSplitter splitter() const { return LineSplitter(num_sets_); }
 
   /// Probe/fill one line (by line index = address / line_bytes). Misses
   /// allocate; write marks dirty. Reports a dirty eviction if one occurred.
@@ -55,29 +177,35 @@ class CacheModel {
   /// other geometries (unit tests) run on the 64-way block with runtime
   /// bounds.
   AccessResult access(u64 line, bool write) {
-    switch (geometry_) {
-      case Geometry::kWays4:
-        return access_ways<4, u32>(line, write);
-      case Geometry::kWays16:
-        return access_ways<16, u32>(line, write);
-      case Geometry::kWays16Narrow:
-        return access_ways<16, u16>(line, write);
-      default:
-        return access_ways<kMaxWays, u32>(line, write);
-    }
+    const u32 line32 = LineSplitter::check_line(line);
+    size_t set;
+    u32 quot;
+    split_.split_cached(line32, &set, &quot);
+    return dispatch([&]<int W, typename Tag>() {
+      return access_ways<W, Tag>(set, make_tag<Tag>(line32, quot), write);
+    });
+  }
+
+  /// access() for a line already split by `splitter()`: identical result.
+  AccessResult access_split(size_t set, u32 quot, bool write) {
+    return dispatch([&]<int W, typename Tag>() {
+      return access_ways<W, Tag>(set, tag_of<Tag>(set, quot), write);
+    });
   }
 
   /// Hint the host CPU to pull `line`'s set-metadata block into cache. The
   /// multi-line access loop calls this one line ahead: probes are
-  /// latency-bound on the (multi-MB, randomly indexed) L2 metadata, and the
-  /// upcoming lines of a run are known in advance.
+  /// latency-bound on the set metadata, and the upcoming lines of a run are
+  /// known in advance.
   void prefetch(u64 line) const {
     if (line < static_cast<u64>(kEmptyTag)) {
-      const size_t set = set_of(static_cast<u32>(line));
-      __builtin_prefetch(
-          reinterpret_cast<const char*>(storage_.data()) + set * block_bytes_,
-          /*rw=*/1, /*locality=*/3);
+      prefetch_set(split_.set_of(static_cast<u32>(line)));
     }
+  }
+  void prefetch_set(size_t set) const {
+    __builtin_prefetch(
+        reinterpret_cast<const char*>(storage_.data()) + set * block_bytes_,
+        /*rw=*/1, /*locality=*/3);
   }
 
   /// Probe without filling or LRU update (used by flush accounting tests).
@@ -94,16 +222,8 @@ class CacheModel {
   /// millions of writeback lines through a scratch vector.
   template <typename Fn>
   i64 flush_visit(Fn&& on_dirty) {
-    switch (geometry_) {
-      case Geometry::kWays4:
-        return flush_ways<4, u32>(on_dirty);
-      case Geometry::kWays16:
-        return flush_ways<16, u32>(on_dirty);
-      case Geometry::kWays16Narrow:
-        return flush_ways<16, u16>(on_dirty);
-      default:
-        return flush_ways<kMaxWays, u32>(on_dirty);
-    }
+    return dispatch(
+        [&]<int W, typename Tag>() { return flush_ways<W, Tag>(on_dirty); });
   }
 
   /// Invalidate any cached copy of `line` without writeback accounting;
@@ -116,26 +236,30 @@ class CacheModel {
   /// (and leaves everything alone) otherwise, so counters can never change.
   bool refresh_storage_if_clean();
 
-  /// Disable the incremental split cache (tests compare the fast path's
-  /// counters against the pure fastmod derivation bit for bit).
+  /// Split the sets into `parts` (a power of two) partitions interleaved in
+  /// runs of 2^kPartitionShift consecutive sets, each with its own
+  /// touched-set list reserved up front: probes of different partitions may
+  /// then run on different threads at once, and none of them allocates.
+  /// Legal only while no set is touched.
+  void set_partitions(int parts);
+  int partition_of(size_t set) const {
+    return static_cast<int>((set >> kPartitionShift) & partition_mask_);
+  }
+
   void set_split_cache_enabled(bool enabled) {
-    split_cache_enabled_ = enabled;
-    split_valid_ = false;
+    split_.set_cache_enabled(enabled);
   }
 
  private:
-  /// A line index that can never occur (checked in check_line below).
-  static constexpr u32 kEmptyTag = ~u32{0};
   /// LRU ticks are stored as u16; a set renormalizes at this tick value.
   static constexpr u32 kTickLimit = 0xFFFF;
-  static constexpr int kMaxWays = 64;  ///< way-mask width (checked in ctor)
   /// Smallest set count for which every quotient line / num_sets of a valid
   /// 32-bit line index fits in a u16 with 0xFFFF left free as the empty
   /// marker: floor((2^32 - 2) / 65537) == 65534 <= 0xFFFE.
   static constexpr i64 kNarrowTagMinSets = 65537;
-
-  /// Compile-time block geometries the runtime (ways, num_sets) pair maps to.
-  enum class Geometry : u8 { kWays4, kWays16, kWays16Narrow, kGeneric };
+  /// Partitions interleave in runs of 64 sets (5.5 KB of 16-way narrow
+  /// blocks), so two partitions share no host cache line but at the seams.
+  static constexpr int kPartitionShift = 6;
 
   /// Per-set metadata. Field order keeps the hit path (tags scan + tick +
   /// flags + one lru entry) at the front of the block. `Tag` is u32 (the
@@ -155,6 +279,11 @@ class CacheModel {
   static_assert(sizeof(SetBlock<16, u16>) == 88);
   static_assert(sizeof(SetBlock<4, u32>) == 48);
 
+  /// One partition's touched sets, on its own host cache line.
+  struct alignas(64) TouchedSets {
+    std::vector<u32> sets;
+  };
+
   template <typename Tag>
   static constexpr Tag empty_tag() {
     return static_cast<Tag>(~Tag{0});
@@ -169,69 +298,6 @@ class CacheModel {
     return reinterpret_cast<const SetBlock<W, Tag>*>(storage_.data()) + set;
   }
 
-  u32 check_line(u64 line) const {
-    BDL_CHECK_MSG(line < static_cast<u64>(kEmptyTag),
-                  "simulated line index overflows the 32-bit cache tag "
-                  "(more than ~128 GB of simulated address space)");
-    return static_cast<u32>(line);
-  }
-
-  /// line % num_sets_, with Lemire's fastmod — the set count is a runtime
-  /// value, so the compiler cannot strength-reduce the division itself.
-  size_t set_of(u32 line) const {
-    const u64 low = fastmod_m_ * line;
-    return static_cast<size_t>(
-        (static_cast<unsigned __int128>(low) * static_cast<u64>(num_sets_)) >>
-        64);
-  }
-
-  /// One 128-bit multiply yields both line % num_sets_ (the set index, via
-  /// Lemire's fastmod on the low half) and line / num_sets_ (the narrow-tag
-  /// quotient, the high half) — exact for 32-bit line and set counts.
-  void split_line(u32 line, size_t* set, u32* quot) const {
-    const unsigned __int128 prod =
-        static_cast<unsigned __int128>(fastmod_m_) * line;
-    *quot = static_cast<u32>(static_cast<u64>(prod >> 64));
-    *set = static_cast<size_t>(
-        (static_cast<unsigned __int128>(static_cast<u64>(prod)) *
-         static_cast<u64>(num_sets_)) >>
-        64);
-  }
-
-  /// split_line with a one-entry incremental cache. The emitters' access
-  /// streams are dominated by short 2–3 line sequential runs (one window row
-  /// is a handful of lines), and line+1 maps to set+1 — wrapping to set 0
-  /// exactly when the quotient advances — so the common next-line probe
-  /// derives (set, quot) with an increment and a compare instead of the
-  /// 128-bit fastmod multiply. Bit-identical by construction: for
-  /// line = quot * num_sets + set with set < num_sets (Euclidean division),
-  /// line+1 has remainder set+1 unless set+1 == num_sets, where it is
-  /// (quot+1, 0).
-  void split_line_cached(u32 line, size_t* set, u32* quot) {
-    if (split_cache_enabled_ && split_valid_) {
-      if (line == last_line_) {
-        *set = last_set_;
-        *quot = last_quot_;
-        return;
-      }
-      if (line == last_line_ + 1) {
-        last_line_ = line;
-        if (++last_set_ == static_cast<size_t>(num_sets_)) {
-          last_set_ = 0;
-          ++last_quot_;
-        }
-        *set = last_set_;
-        *quot = last_quot_;
-        return;
-      }
-    }
-    split_line(line, set, quot);
-    split_valid_ = true;
-    last_line_ = line;
-    last_set_ = *set;
-    last_quot_ = *quot;
-  }
-
   /// The stored tag for `line` in the set it maps to.
   template <typename Tag>
   static Tag make_tag(u32 line, u32 quot) {
@@ -240,6 +306,18 @@ class CacheModel {
     } else {
       (void)quot;
       return line;
+    }
+  }
+
+  /// The stored tag for the line of quotient `quot` in `set`.
+  template <typename Tag>
+  Tag tag_of(size_t set, u32 quot) const {
+    if constexpr (sizeof(Tag) == 2) {
+      (void)set;
+      return static_cast<Tag>(quot);
+    } else {
+      return static_cast<Tag>(quot * static_cast<u32>(num_sets_) +
+                              static_cast<u32>(set));
     }
   }
 
@@ -276,18 +354,14 @@ class CacheModel {
   /// exactly, arbitrary test geometries run on the kMaxWays block with the
   /// runtime way count.
   template <int W, typename Tag>
-  AccessResult access_ways(u64 line64, bool write) {
+  AccessResult access_ways(size_t set, Tag key, bool write) {
     AccessResult result;
-    const u32 line = check_line(line64);
-    size_t set;
-    u32 quot;
-    split_line_cached(line, &set, &quot);
-    const Tag key = make_tag<Tag>(line, quot);
     const int ways = W == kMaxWays ? ways_ : W;
     SetBlock<W, Tag>* blk = block<W, Tag>(set);
     if (!(blk->flags & 1)) {
       blk->flags |= 1;
-      touched_sets_.push_back(static_cast<u64>(set));
+      touched_[static_cast<size_t>(partition_of(set))].sets.push_back(
+          static_cast<u32>(set));
     }
     if (blk->tick == kTickLimit) renormalize_set(blk, ways);
     const u16 tick = static_cast<u16>(++blk->tick);
@@ -341,50 +415,44 @@ class CacheModel {
   i64 flush_ways(Fn&& on_dirty) {
     const int ways = W == kMaxWays ? ways_ : W;
     i64 dirty_count = 0;
-    for (u64 set : touched_sets_) {
-      SetBlock<W, Tag>* blk = block<W, Tag>(static_cast<size_t>(set));
-      const u64 dirty = blk->dirty;
-      for (int w = 0; w < ways; ++w) {
-        if ((dirty >> w) & 1) {
-          ++dirty_count;
-          on_dirty(line_of_tag(blk->tags[w], static_cast<size_t>(set)));
+    for (TouchedSets& touched : touched_) {
+      for (u32 set : touched.sets) {
+        SetBlock<W, Tag>* blk = block<W, Tag>(set);
+        const u64 dirty = blk->dirty;
+        for (int w = 0; w < ways; ++w) {
+          if ((dirty >> w) & 1) {
+            ++dirty_count;
+            on_dirty(line_of_tag(blk->tags[w], set));
+          }
+          blk->tags[w] = empty_tag<Tag>();
         }
-        blk->tags[w] = empty_tag<Tag>();
+        blk->flags = 0;
+        blk->valid = 0;
+        blk->dirty = 0;
       }
-      blk->flags = 0;
-      blk->valid = 0;
-      blk->dirty = 0;
+      touched.sets.clear();
     }
-    touched_sets_.clear();
     return dirty_count;
   }
 
-  template <int W, typename Tag>
-  bool contains_ways(u64 line) const;
-  template <int W, typename Tag>
-  void invalidate_ways(u64 line);
-
+  bool clean() const;
   void init_storage();
 
   i64 line_bytes_;
   int ways_;
   i64 num_sets_;
   Geometry geometry_ = Geometry::kGeneric;
-  u64 fastmod_m_ = 0;      ///< UINT64_MAX / num_sets_ + 1
   size_t block_bytes_ = 0;  ///< sizeof(SetBlock<geometry>)
-  // One-entry incremental split cache (pure arithmetic on the line index;
-  // independent of cache contents, so it never needs invalidation).
-  bool split_cache_enabled_ = true;
-  bool split_valid_ = false;
-  u32 last_line_ = 0;
-  u32 last_quot_ = 0;
-  size_t last_set_ = 0;
+  u32 partition_mask_ = 0;  ///< partitions - 1
+  LineSplitter split_;      ///< for access(); read-only for access_split()
   // Raw backing store for the SetBlock array (u64 so the base is 8-aligned,
-  // matching alignof(SetBlock)); sized/initialized per geometry in the ctor.
+  // matching alignof(SetBlock)); sized/initialized per geometry in
+  // init_storage.
   std::vector<u64> storage_;
-  // Sets touched since the last flush, so flush() is O(working set) instead
-  // of O(capacity) — per-invocation L1 resets would otherwise dominate.
-  std::vector<u64> touched_sets_;
+  // Sets touched since the last flush, per partition, so flush() is
+  // O(working set) instead of O(capacity) — per-invocation L1 resets would
+  // otherwise dominate.
+  std::vector<TouchedSets> touched_;
 };
 
 }  // namespace brickdl

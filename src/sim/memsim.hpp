@@ -6,8 +6,24 @@
 // since GPU L1s are not coherent across blocks) and one shared L2. Counters
 // correspond to the Nsight metrics the paper collects: global (L1), L2 and
 // DRAM transactions, plus atomic-operation counts (§4.2–4.4, Fig. 9).
+//
+// L2 shards (DESIGN.md §9.4). When the L2 has at least 2,048 sets (1 MB at
+// the A100's 16 ways; the A100 itself has 81,920) and the host has a spare
+// hardware thread, the L2 runs on up to two lazily started shard threads,
+// one per CacheModel partition (interleaved runs of sets). The emitting
+// thread — whichever holds the lock — keeps window emission, the L1 probes,
+// the L1 and L2 counts and the set/quotient split of each L2 probe, and
+// appends the probe to its set's shard ring; each shard applies its probes
+// in arrival order and counts its own DRAM reads and writes. Sets are
+// independent and each set still sees its probes in the original global
+// order, so every counter is bit-identical to the serial model, provided
+// the L2 state and the DRAM counts are only observed with all rings
+// drained: `discard()` (the shards read the discard list), `counters()`,
+// `reset_counters()`, `flush()` and the destructor drain first. One routine
+// (`apply_l2`) applies a probe both inline and on a shard.
 #pragma once
 
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -36,6 +52,9 @@ struct TxnCounters {
 class MemoryHierarchySim {
  public:
   explicit MemoryHierarchySim(const MachineParams& params);
+  ~MemoryHierarchySim();
+  MemoryHierarchySim(const MemoryHierarchySim&) = delete;
+  MemoryHierarchySim& operator=(const MemoryHierarchySim&) = delete;
 
   const MachineParams& params() const { return params_; }
   int num_workers() const { return params_.concurrent_blocks; }
@@ -66,14 +85,14 @@ class MemoryHierarchySim {
       sim_.access_unlocked(worker_, addr, bytes, write);
     }
 
-    /// Hint that `addr` is about to be accessed: pulls both cache models'
-    /// set metadata for its line toward the host CPU. Purely a performance
-    /// hint — never changes any counter — so callers may guess sloppily
-    /// (e.g. assume the next run continues a stride even near band edges).
+    /// Hint that `addr` is about to be accessed: pulls the worker's L1 set
+    /// metadata for its line toward the host CPU (L2 blocks belong to the
+    /// shard threads). Purely a performance hint — never changes any
+    /// counter — so callers may guess sloppily (e.g. assume the next run
+    /// continues a stride even near band edges).
     void prefetch(u64 addr) {
       const u64 line = addr / static_cast<u64>(sim_.params_.line_bytes);
       sim_.l1_[static_cast<size_t>(worker_)].prefetch(line);
-      sim_.l2_.prefetch(line);
     }
 
    private:
@@ -108,6 +127,7 @@ class MemoryHierarchySim {
   /// occupying cache (as they would on real hardware) but their eventual
   /// dirty evictions are not charged as DRAM writebacks. The bump allocator
   /// never reuses addresses, so stale cached copies can never be re-read.
+  /// Discarded ranges must not overlap (each dead buffer is discarded once).
   void discard(u64 addr, i64 bytes);
 
   /// Write back all dirty lines (L1s then L2); counts DRAM writes. Harnesses
@@ -115,13 +135,34 @@ class MemoryHierarchySim {
   /// charged comparably across executors.
   void flush();
 
+  /// Exact at any point: both drain the L2 shards first.
   TxnCounters counters() const;
   void reset_counters();
 
+  /// Running L2 shard threads: 0 until the first L2 probe, and always 0 on
+  /// small L2 geometries or single-thread hosts (the L2 then runs inline).
+  int l2_shard_threads() const;
+
  private:
+  /// What one L2 prober owns: its DRAM counts and its discard-lookup memo.
+  struct L2Tally {
+    i64 dram_read = 0;
+    i64 dram_write = 0;
+    std::pair<u64, u64> discard_hit{1, 0};  ///< memo, empty range
+  };
+  struct L2Shard;
+
   void l2_access(u64 line, bool write, bool fill_on_miss);
+  void apply_l2(L2Tally& tally, size_t set, u32 quot, bool write,
+                bool fill_on_miss);
   void access_unlocked(int worker, u64 addr, i64 bytes, bool write);
-  bool is_discarded(u64 line) const;
+  bool is_discarded(u64 line, std::pair<u64, u64>& memo) const;
+  void start_shards();
+  void stop_shards();
+  void run_shard(L2Shard& shard);
+  /// Wait until every shard has applied every probe handed to it (caller
+  /// holds mu_); afterwards the L2 and all tallies may be read or written.
+  void drain() const;
 
   MachineParams params_;
   // Spinlock, not std::mutex: the critical sections are a handful of cache
@@ -129,12 +170,19 @@ class MemoryHierarchySim {
   // (often from a single thread, where an uncontended spinlock is ~5x
   // cheaper than a mutex).
   mutable SpinLock mu_;
-  CacheModel l2_;
-  std::vector<CacheModel> l1_;
-  TxnCounters counters_;
-  u64 next_addr_ = 0;
+  // Read by the shard threads: the L2 (each shard writes only its own
+  // partition's blocks) and the discard list (written only when drained).
+  // Kept off the host cache lines the emitter writes.
+  alignas(64) CacheModel l2_;
   std::vector<std::pair<u64, u64>> discarded_;  ///< [first, last] line ranges, sorted
-  mutable std::pair<u64, u64> last_discard_hit_{1, 0};  ///< memo, empty range
+  // Emitter state.
+  alignas(64) CacheModel::LineSplitter l2_split_;
+  std::vector<CacheModel> l1_;
+  TxnCounters counters_;  ///< all but the DRAM counts, which the tallies hold
+  L2Tally inline_tally_;  ///< probes applied on the emitting thread
+  u64 next_addr_ = 0;
+  int shard_target_ = 0;  ///< shards the geometry and host call for
+  std::vector<std::unique_ptr<L2Shard>> shards_;  ///< started lazily
 };
 
 }  // namespace brickdl

@@ -14,6 +14,16 @@
 
 namespace brickdl {
 
+/// Busy-wait hint: tells the core it is spinning (frees pipeline resources
+/// for a sibling hyperthread and avoids a memory-order flush on exit).
+inline void cpu_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
 class SpinLock {
  public:
   void lock() {
@@ -34,14 +44,6 @@ class SpinLock {
   void unlock() { locked_.store(false, std::memory_order_release); }
 
  private:
-  static void cpu_pause() {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield" ::: "memory");
-#endif
-  }
-
   std::atomic<bool> locked_{false};
 };
 

@@ -12,16 +12,19 @@
 #                         tables shared by real worker threads, the serving
 #                         runner-pool/scheduler handoff), the
 #                         greedy-partitioner property suite (shared metrics
-#                         registry traffic), and the plan-cache suite
+#                         registry traffic), the plan-cache suite
 #                         (concurrent warm-start readers racing a writer
-#                         through the atomic tmp+rename publish).
+#                         through the atomic tmp+rename publish), and the
+#                         simulator suite (the A100 L2 on set-sharded
+#                         threads: probe rings, drain points, shutdown).
 #   2. ASan + UBSan:      the differential fuzz suite (random graphs through
 #                         every executor variant, paper and greedy
 #                         partitioners), the window-copy property tests,
-#                         plus the resilience, observability,
-#                         serving, partition, and plan-cache suites (includes
-#                         the malformed-parse corpus, JSON parse-back, and
-#                         the poisoned-cache-entry rejection paths).
+#                         plus the resilience, observability, serving,
+#                         partition, plan-cache and simulator suites
+#                         (includes the malformed-parse corpus, JSON
+#                         parse-back, and the poisoned-cache-entry rejection
+#                         paths).
 #   3. Release (-O3 -DNDEBUG): the differential + perf (fast-path vs generic
 #                         kernel, plus the fig07 paper-vs-greedy partition
 #                         A/B gate) + obs (unit suite plus the CLI and
@@ -47,26 +50,26 @@ STAGES=${STAGES:-"tsan asan release"}
 run_stage() { [[ " $STAGES " == *" $1 "* ]]; }
 
 if run_stage tsan; then
-  echo "== [tsan] ThreadSanitizer: memoized / wavefront / thread-pool / engine-pool / resilience / obs / serve / pipeline / partition / plan-cache =="
+  echo "== [tsan] ThreadSanitizer: memoized / wavefront / thread-pool / engine-pool / resilience / obs / serve / pipeline / partition / plan-cache / sim =="
   cmake -B "$SRC_DIR/build-tsan" -S "$SRC_DIR" -DBRICKDL_SANITIZE=thread
   cmake --build "$SRC_DIR/build-tsan" -j "$JOBS" \
         --target brickdl_tests --target brickdl_resilience_tests \
         --target brickdl_obs_tests --target brickdl_serve_tests \
         --target brickdl_pipeline_tests --target brickdl_partition_tests \
-        --target brickdl_plan_cache_tests
+        --target brickdl_plan_cache_tests --target brickdl_sim_tests
   ctest --test-dir "$SRC_DIR/build-tsan" --output-on-failure --timeout 600 \
-        -R 'MemoizedExecutor|Wavefront|ThreadPool|EnginePool|Resilience|Obs|Serve|Pipeline|GreedyPartitioner|PlanCache'
+        -R 'MemoizedExecutor|Wavefront|ThreadPool|EnginePool|Resilience|Obs|Serve|Pipeline|GreedyPartitioner|PlanCache|MemSimShards|SimGolden'
 fi
 
 if run_stage asan; then
-  echo "== [asan] ASan+UBSan: differential fuzz + resilience + obs + serve + pipeline + partition + plan-cache suites =="
+  echo "== [asan] ASan+UBSan: differential fuzz + resilience + obs + serve + pipeline + partition + plan-cache + sim suites =="
   cmake -B "$SRC_DIR/build-asan" -S "$SRC_DIR" -DBRICKDL_SANITIZE=address,undefined
   cmake --build "$SRC_DIR/build-asan" -j "$JOBS" \
         --target brickdl_tests \
         --target brickdl_differential_tests --target brickdl_resilience_tests \
         --target brickdl_obs_tests --target brickdl_serve_tests \
         --target brickdl_pipeline_tests --target brickdl_partition_tests \
-        --target brickdl_plan_cache_tests \
+        --target brickdl_plan_cache_tests --target brickdl_sim_tests \
         --target mb_kernels --target fig07_partition_ab \
         --target brickdl_serve --target brickdl_report_check
   # obs_smoke and plan_cache_smoke (the CLI end-to-end runs) are excluded:
@@ -75,9 +78,10 @@ if run_stage asan; then
   # sweeps + mb_kernels smoke: cheap, and exactly where an interior-loop
   # indexing bug would surface. partition adds the greedy property sweep and
   # the fig07 partition A/B gate; plan_cache adds the cold/warm parity and
-  # cache-poisoning suite.
+  # cache-poisoning suite; sim adds the golden counters and the sharded-L2
+  # differential test.
   ctest --test-dir "$SRC_DIR/build-asan" --output-on-failure --timeout 600 \
-        -L 'differential|resilience|obs|perf|serve|pipeline|partition|plan_cache' \
+        -L 'differential|resilience|obs|perf|serve|pipeline|partition|plan_cache|sim' \
         -E 'obs_smoke|plan_cache_smoke'
   # The window-copy property tests (main suite): the row-wise gather and
   # scatter copies clip and zero-fill against tensor and brick bounds.
