@@ -57,7 +57,7 @@ int main() {
 
   // BrickInfo: the adjacency list of Fig. 6(c) — physical indices of the
   // logical neighbors, one lookup per direction.
-  const BrickInfo& info = bricked.info();
+  const BrickInfo info = bricked.info();
   std::printf("\nBrickInfo adjacency of that brick (di, dj -> physical):\n");
   for (i64 di = -1; di <= 1; ++di) {
     for (i64 dj = -1; dj <= 1; ++dj) {

@@ -59,14 +59,26 @@ BrickedTensor::BrickedTensor(Shape shape, const Dims& brick_extents)
 BrickedTensor::BrickedTensor(Shape shape, const Dims& brick_extents, BrickMap map)
     : shape_(shape),
       grid_(shape.blocked_dims(), brick_extents),
-      map_(std::move(map)),
-      info_(grid_, map_) {
+      map_(std::move(map)) {
   BDL_CHECK_MSG(map_.grid() == grid_.grid,
                 "brick map grid " << map_.grid().str()
                                   << " does not match decomposition grid "
                                   << grid_.grid.str());
-  storage_.assign(static_cast<size_t>(num_bricks() * brick_storage_elements()),
-                  0.0f);
+  storage_ = Storage::zeros(
+      static_cast<size_t>(num_bricks() * brick_storage_elements()));
+}
+
+BrickedTensor::BrickedTensor(Shape shape, const Dims& brick_extents,
+                             Storage storage)
+    : shape_(shape),
+      grid_(shape.blocked_dims(), brick_extents),
+      map_(grid_.grid),
+      storage_(std::move(storage)) {
+  BDL_CHECK_MSG(static_cast<i64>(storage_.size()) >=
+                    num_bricks() * brick_storage_elements(),
+                "storage of " << storage_.size() << " floats cannot hold "
+                              << num_bricks() << " bricks of "
+                              << brick_storage_elements());
 }
 
 Brick BrickedTensor::brick(i64 physical) {
@@ -104,16 +116,16 @@ std::pair<i64, i64> BrickedTensor::locate(const Dims& index) const {
 
 float& BrickedTensor::at(const Dims& index) {
   const auto [physical, offset] = locate(index);
-  return storage_[static_cast<size_t>(physical * brick_storage_elements() + offset)];
+  return storage_.data()[physical * brick_storage_elements() + offset];
 }
 
 float BrickedTensor::at(const Dims& index) const {
   const auto [physical, offset] = locate(index);
-  return storage_[static_cast<size_t>(physical * brick_storage_elements() + offset)];
+  return storage_.data()[physical * brick_storage_elements() + offset];
 }
 
 void BrickedTensor::fill(float value) {
-  std::fill(storage_.begin(), storage_.end(), value);
+  std::fill_n(storage_.data(), num_bricks() * brick_storage_elements(), value);
 }
 
 BrickedTensor BrickedTensor::from_canonical(const Tensor& src,

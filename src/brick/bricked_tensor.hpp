@@ -3,10 +3,9 @@
 // fixed-size bricks; each brick packs all channels contiguously as
 // [C, brick-blocked-extents...] row-major. Bricks are addressed through a
 // BrickMap indirection, and halo data in neighboring bricks is reached via
-// BrickInfo adjacency, exactly as Fig. 6 lays out.
+// BrickInfo adjacency (built on demand by info()), exactly as Fig. 6 lays
+// out.
 #pragma once
-
-#include <vector>
 
 #include "brick/brick_info.hpp"
 #include "tensor/tensor.hpp"
@@ -52,15 +51,20 @@ class Brick {
 
 class BrickedTensor {
  public:
-  /// Identity brick map.
+  /// Identity brick map, zero-filled.
   BrickedTensor(Shape shape, const Dims& brick_extents);
   /// Custom placement (e.g. BrickMap::shuffled) — grid must match.
   BrickedTensor(Shape shape, const Dims& brick_extents, BrickMap map);
+  /// Identity brick map over adopted `storage` (at least
+  /// num_bricks() × brick_storage_elements() floats), not cleared.
+  BrickedTensor(Shape shape, const Dims& brick_extents, Storage storage);
 
   const Shape& shape() const { return shape_; }
   const BrickGrid& grid() const { return grid_; }
   const BrickMap& map() const { return map_; }
-  const BrickInfo& info() const { return info_; }
+  /// The neighbor adjacency table (Fig. 6c), built on each call: no
+  /// executor needs it, so tensors do not carry one.
+  BrickInfo info() const { return BrickInfo(grid_, map_); }
   i64 channels() const { return shape_.channels(); }
   i64 num_bricks() const { return grid_.num_bricks(); }
   /// Elements per brick including all channels.
@@ -68,8 +72,11 @@ class BrickedTensor {
     return channels() * grid_.brick_elements();
   }
   i64 storage_bytes() const {
-    return static_cast<i64>(storage_.size() * sizeof(float));
+    return num_bricks() * brick_storage_elements() *
+           static_cast<i64>(sizeof(float));
   }
+  /// Give up the storage (the tensor must not be used afterwards).
+  Storage take_storage() { return std::move(storage_); }
 
   Brick brick(i64 physical);
   const float* brick_data(i64 physical) const;
@@ -105,8 +112,7 @@ class BrickedTensor {
   Shape shape_;
   BrickGrid grid_;
   BrickMap map_;
-  BrickInfo info_;
-  std::vector<float> storage_;
+  Storage storage_;
 };
 
 }  // namespace brickdl

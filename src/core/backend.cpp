@@ -4,6 +4,7 @@
 
 #include "core/fault_hooks.hpp"
 #include "tensor/window.hpp"
+#include "util/odometer.hpp"
 #include "util/status.hpp"
 
 namespace brickdl {
@@ -74,13 +75,47 @@ TensorId NumericBackend::register_tensor(const Shape& shape, Layout layout,
   Buffer buf;
   buf.shape = shape;
   buf.layout = layout;
-  if (layout != Layout::kBricked) {
-    buf.canonical = std::make_unique<Tensor>(shape);
-  } else {
-    buf.bricked = std::make_unique<BrickedTensor>(shape, brick_extent);
+  // Recycled or fresh, the block is not cleared: executors write every
+  // position they later read (DESIGN.md §9.7).
+  i64 floats = shape.elements();
+  if (layout == Layout::kBricked) {
+    const BrickGrid grid(shape.blocked_dims(), brick_extent);
+    floats = grid.num_bricks() * grid.brick_elements() * shape.channels();
   }
+  Storage block = free_.take(static_cast<size_t>(floats));
+  buf.bytes = block.bytes();
+  if (layout != Layout::kBricked) {
+    buf.canonical = std::make_unique<Tensor>(shape.dims, std::move(block));
+  } else {
+    buf.bricked = std::make_unique<BrickedTensor>(shape, brick_extent,
+                                                  std::move(block));
+  }
+  live_bytes_ += buf.bytes;
+  peak_live_bytes_ = std::max(peak_live_bytes_, live_bytes_);
   buffers_.push_back(std::move(buf));
   return static_cast<TensorId>(buffers_.size() - 1);
+}
+
+void NumericBackend::release_tensor(TensorId id) {
+  BDL_CHECK(id >= 0 && id < static_cast<TensorId>(buffers_.size()));
+  Buffer& buf = buffers_[static_cast<size_t>(id)];
+  if (buf.canonical) {
+    free_.give(buf.canonical->take_storage());
+  } else if (buf.bricked) {
+    free_.give(buf.bricked->take_storage());
+  }
+  buf.canonical.reset();
+  buf.bricked.reset();
+  live_bytes_ -= buf.bytes;
+  buf.bytes = 0;
+}
+
+const NumericBackend::Buffer& NumericBackend::live_buffer(TensorId id) const {
+  BDL_CHECK(id >= 0 && id < static_cast<TensorId>(buffers_.size()));
+  const Buffer& buf = buffers_[static_cast<size_t>(id)];
+  BDL_CHECK_MSG(buf.canonical || buf.bricked,
+                "tensor " << id << " was used after its release");
+  return buf;
 }
 
 SlotId NumericBackend::new_slot(int worker) {
@@ -101,8 +136,7 @@ ScratchSlot& NumericBackend::slot_ref(int worker, SlotId slot) {
 
 SlotId NumericBackend::load_window(int worker, TensorId src, const Dims& lo,
                                    const Dims& extent) {
-  BDL_CHECK(src >= 0 && src < static_cast<TensorId>(buffers_.size()));
-  const Buffer& buf = buffers_[static_cast<size_t>(src)];
+  const Buffer& buf = live_buffer(src);
   const SlotId id = new_slot(worker);
   ScratchSlot& slot = slot_ref(worker, id);
   slot.lo = lo;
@@ -122,8 +156,7 @@ SlotId NumericBackend::load_window(int worker, TensorId src, const Dims& lo,
 
 void NumericBackend::store_window(int worker, SlotId slot_id, TensorId dst,
                                   const Dims& lo, const Dims& extent) {
-  BDL_CHECK(dst >= 0 && dst < static_cast<TensorId>(buffers_.size()));
-  Buffer& buf = buffers_[static_cast<size_t>(dst)];
+  const Buffer& buf = live_buffer(dst);
   ScratchSlot& slot = slot_ref(worker, slot_id);
   BDL_CHECK_MSG(slot.live && slot.lo == lo && slot.extent == extent,
                 "store window must match the slot geometry");
@@ -225,20 +258,20 @@ void NumericBackend::execute_global(int worker, int node_id,
 }
 
 void NumericBackend::bind(TensorId id, const Tensor& data) {
-  BDL_CHECK(id >= 0 && id < static_cast<TensorId>(buffers_.size()));
-  Buffer& buf = buffers_[static_cast<size_t>(id)];
+  const Buffer& buf = live_buffer(id);
   BDL_CHECK(buf.shape.dims == data.dims());
+  // In place: the tensor keeps the storage block it holds.
   if (buf.layout != Layout::kBricked) {
     *buf.canonical = data;
   } else {
-    *buf.bricked =
-        BrickedTensor::from_canonical(data, buf.bricked->grid().brick);
+    for_each_index(data.dims(), [&](const Dims& index) {
+      buf.bricked->at(index) = data.at(index);
+    });
   }
 }
 
 Tensor NumericBackend::read(TensorId id) const {
-  BDL_CHECK(id >= 0 && id < static_cast<TensorId>(buffers_.size()));
-  const Buffer& buf = buffers_[static_cast<size_t>(id)];
+  const Buffer& buf = live_buffer(id);
   if (buf.layout != Layout::kBricked) return *buf.canonical;
   return buf.bricked->to_canonical();
 }

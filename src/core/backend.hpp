@@ -97,6 +97,9 @@ class Backend {
   virtual void tally_sync(i64 n) = 0;
   /// The tensor is dead; the model drops its cached lines without writeback.
   virtual void discard_tensor(TensorId id) = 0;
+  /// The tensor's last consumer has finished (DESIGN.md §9.7): a backend may
+  /// recycle its storage. Not a device event — the model keeps its lines.
+  virtual void release_tensor(TensorId /*id*/) {}
 
   /// NUMA first-touch hook (util/numa.hpp): called from the pool thread that
   /// will drive `worker` so the worker's private state (bump arena, simulator
@@ -147,7 +150,10 @@ class NumericBackend final : public Backend {
   void tally_defer(i64) override {}
   void tally_reduce(i64) override {}
   void tally_sync(i64) override {}
-  void discard_tensor(TensorId) override {}
+  /// Both return the tensor's storage to the free list; the id must not be
+  /// used again. Releasing a released tensor is a no-op.
+  void discard_tensor(TensorId id) override { release_tensor(id); }
+  void release_tensor(TensorId id) override;
   /// First-touch the worker's bump arena from the calling thread: the
   /// initial slab is allocated (and zero-initialized, which commits its
   /// pages) here instead of lazily inside the first brick.
@@ -158,13 +164,28 @@ class NumericBackend final : public Backend {
   /// Read a registered tensor back in canonical layout.
   Tensor read(TensorId id) const;
 
+  // ---- activation storage (DESIGN.md §9.7) ----
+  // register_tensor adopts the best-fitting free block, or allocates one,
+  // and never clears it; released storage goes back to the free list.
+  /// Storage bytes held by registered, unreleased tensors.
+  i64 live_bytes() const { return live_bytes_; }
+  /// Most live bytes since construction or the last reset_peak_live_bytes()
+  /// (Engine::run_checked resets it, so after a run it is that run's peak).
+  i64 peak_live_bytes() const { return peak_live_bytes_; }
+  void reset_peak_live_bytes() { peak_live_bytes_ = live_bytes_; }
+  /// All activation storage the backend owns: live plus free-listed.
+  i64 reserved_bytes() const { return live_bytes_ + free_.free_bytes(); }
+
  private:
   struct Buffer {
     Shape shape;
     Layout layout = Layout::kCanonical;
-    std::unique_ptr<Tensor> canonical;
+    std::unique_ptr<Tensor> canonical;  // null once released
     std::unique_ptr<BrickedTensor> bricked;
+    i64 bytes = 0;  ///< storage held, 0 once released
   };
+
+  const Buffer& live_buffer(TensorId id) const;
 
   ScratchSlot& slot_ref(int worker, SlotId slot);
   SlotId new_slot(int worker);
@@ -175,6 +196,9 @@ class NumericBackend final : public Backend {
   std::vector<std::vector<ScratchSlot>> slots_;  // [worker][slot]
   std::vector<Arena> arenas_;                    // [worker]
   std::vector<std::vector<RegionInput>> region_inputs_;  // [worker], reused
+  StorageFreeList free_;
+  i64 live_bytes_ = 0;
+  i64 peak_live_bytes_ = 0;
 };
 
 class ModelBackend final : public Backend {

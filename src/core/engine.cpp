@@ -81,6 +81,26 @@ Status make_run_pool(const EngineOptions& options, Backend& backend,
   return Status();
 }
 
+/// For each subgraph, the boundary tensors (graph inputs and subgraph
+/// terminals) it is the last consumer of, in partition order. The graph
+/// output has no consumer and is never listed.
+std::vector<std::vector<int>> boundary_releases(const Graph& graph,
+                                                const Partition& partition) {
+  std::vector<int> last(static_cast<size_t>(graph.num_nodes()), -1);
+  const auto& subs = partition.subgraphs;
+  for (size_t k = 0; k < subs.size(); ++k) {
+    for (int p : subs[k].sg.external_inputs) {
+      last[static_cast<size_t>(p)] = static_cast<int>(k);
+    }
+  }
+  std::vector<std::vector<int>> releases(subs.size());
+  for (int node = 0; node < graph.num_nodes(); ++node) {
+    const int k = last[static_cast<size_t>(node)];
+    if (k >= 0) releases[static_cast<size_t>(k)].push_back(node);
+  }
+  return releases;
+}
+
 }  // namespace
 
 Status validate_engine_options(const EngineOptions& options) {
@@ -137,6 +157,7 @@ Engine::Engine(const Graph& graph, EngineOptions options)
       case PlanCacheLookup::Outcome::kHit:
         if (options_.metrics) m.counter("engine.plan_cache.hits").add(1);
         partition_ = std::move(lookup.entry.partition);
+        release_after_ = boundary_releases(graph_, partition_);
         return;
       case PlanCacheLookup::Outcome::kMiss:
         if (options_.metrics) m.counter("engine.plan_cache.misses").add(1);
@@ -191,6 +212,7 @@ Engine::Engine(const Graph& graph, EngineOptions options)
                 << "\n";
     }
   }
+  release_after_ = boundary_releases(graph_, partition_);
 }
 
 Status Engine::validate() const {
@@ -375,8 +397,15 @@ Status run_planned_subgraph_checked(
         return exec.run_checked();
       }
       case Strategy::kVendor: {
-        // Per-layer tiled vendor calls; interiors materialize canonically.
+        // Per-layer tiled vendor calls; interiors materialize canonically
+        // and are released after their last in-subgraph consumer.
         std::unordered_map<int, TensorId> local = full_io;
+        std::unordered_map<int, int> readers_left;
+        for (int nid : sg.nodes) {
+          for (int p : graph.node(nid).inputs) {
+            if (sg.contains(p)) ++readers_left[p];
+          }
+        }
         for (int nid : sg.nodes) {
           const Node& node = graph.node(nid);
           TensorId dst;
@@ -388,10 +417,17 @@ Status run_planned_subgraph_checked(
             local[nid] = dst;
             vendor_interior.push_back(dst);
           }
-          obs::TraceSpan layer_span("layer", node.name, {{"node", nid}},
-                                    options.trace);
-          run_node_tiled(graph, node, backend, local, dst,
-                         options.vendor_tile_side, pool);
+          {
+            obs::TraceSpan layer_span("layer", node.name, {{"node", nid}},
+                                      options.trace);
+            run_node_tiled(graph, node, backend, local, dst,
+                           options.vendor_tile_side, pool);
+          }
+          for (int p : node.inputs) {
+            if (sg.contains(p) && --readers_left[p] == 0) {
+              backend.release_tensor(local.at(p));
+            }
+          }
         }
         return Status();
       }
@@ -715,7 +751,19 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
   auto* numeric = dynamic_cast<NumericBackend*>(&backend);
   auto* model = dynamic_cast<ModelBackend*>(&backend);
 
+  // The run's peak is measured from here (engine.peak_live_bytes).
+  if (numeric) numeric->reset_peak_live_bytes();
+
   std::unordered_map<int, TensorId> boundary;
+  // Release the boundary tensors subgraph k was the last consumer of. Only
+  // after it succeeded: a degradation-ladder retry or a failed chain's
+  // barriered fallback re-reads the same inputs.
+  const auto release_consumed = [&](size_t k) {
+    for (int node : release_after_[k]) {
+      backend.release_tensor(boundary.at(node));
+      boundary.erase(node);
+    }
+  };
   for (const Node& node : graph_.nodes()) {
     if (node.kind != OpKind::kInput) continue;
     const TensorId id = backend.register_tensor(node.out_shape,
@@ -758,7 +806,7 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
     if (chain_end > index + 1) {
       if (try_run_chain(backend, numeric, model, pool.get(), index, chain_end,
                         boundary, result)) {
-        index = chain_end;
+        for (; index < chain_end; ++index) release_consumed(index);
         continue;
       }
       // Chain failed: fall back to running the members barriered, where each
@@ -769,14 +817,19 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
     }
     BDL_RETURN_IF_ERROR(run_subgraph_barriered(
         backend, numeric, model, pool.get(), index, boundary, result));
+    release_consumed(index);
     ++index;
   }
-
 
   if (model) {
     model->sim().flush();  // charge buffered output writebacks to the run
     result.total_txns = model->sim().counters();
     result.total_tally = model->tally();
+  }
+  if (numeric && options_.metrics) {
+    obs::metrics()
+        .histogram("engine.peak_live_bytes")
+        .observe(numeric->peak_live_bytes());
   }
 
   const auto outputs = graph_.outputs();

@@ -149,7 +149,9 @@ class Engine {
   /// tallies are collected into the reports. Failures are classified, never
   /// fatal: a subgraph whose strategy faults is retried down the degradation
   /// chain, and only an unrecoverable subgraph fails the run (after printing
-  /// a replay line to stderr).
+  /// a replay line to stderr). Every other activation is released after its
+  /// last consumer (DESIGN.md §9.7); `result.output` stays registered until
+  /// the caller releases it.
   Result<EngineResult> run_checked(Backend& backend,
                                    const Tensor* input = nullptr);
   /// Throwing wrapper (legacy call sites).
@@ -203,6 +205,9 @@ class Engine {
   const Graph& graph_;
   EngineOptions options_;
   Partition partition_;
+  /// Per subgraph: the boundary nodes whose tensors are released once it
+  /// succeeds (DESIGN.md §9.7).
+  std::vector<std::vector<int>> release_after_;
   Status preflight_;  ///< options validation, captured at construction
 };
 

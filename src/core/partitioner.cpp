@@ -283,6 +283,15 @@ PlannedSubgraph plan_subgraph(const Graph& graph, Subgraph sg,
 
 namespace {
 
+/// `plan` re-planned as per-layer vendor calls.
+PlannedSubgraph vendor_plan(PlannedSubgraph plan) {
+  PlannedSubgraph vendor;
+  vendor.sg = std::move(plan.sg);
+  vendor.sg.merged = false;
+  vendor.strategy = Strategy::kVendor;
+  return vendor;
+}
+
 /// The paper's one-shot partitioner (§3.3.1): scan in topological order,
 /// grow the longest closable mergeable prefix that fits the footprint budget.
 Partition partition_paper(const Graph& graph, const PartitionOptions& options) {
@@ -320,6 +329,8 @@ Partition partition_paper(const Graph& graph, const PartitionOptions& options) {
         const bool fits = plan.strategy == Strategy::kVendor ||
                           plan.footprint_bytes <= options.l2_budget;
         if (fits || candidate.size() == 1) {
+          // A single layer that does not fit the budget runs as vendor.
+          if (!fits) plan = vendor_plan(std::move(plan));
           best_len = candidate.size();
           best_plan = std::move(plan);
           // Preferred terminators (§3.3.1): reductions and global ops.
@@ -451,7 +462,11 @@ Partition partition_greedy(const Graph& graph,
       std::tie(grp.plan, grp.cost) = plan_and_cost(grp.nodes);
     } else {
       grp.plan.sg = make_subgraph(graph, grp.nodes);
-      grp.plan.strategy = Strategy::kVendor;
+    }
+    // Unmergeable kinds, and single layers over the budget, run as vendor.
+    if (!grp.mergeable || (grp.plan.strategy != Strategy::kVendor &&
+                           grp.plan.footprint_bytes > options.l2_budget)) {
+      grp.plan = vendor_plan(std::move(grp.plan));
       cost_calls.add(1);
       grp.cost =
           obs::predict_subgraph(graph, grp.plan, options.machine).seconds;

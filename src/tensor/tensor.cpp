@@ -12,15 +12,35 @@ Tensor::Tensor(Dims dims) : dims_(dims) {
   for (int i = 0; i < dims.rank(); ++i) {
     BDL_CHECK_MSG(dims[i] > 0, "tensor extent must be positive, got " << dims.str());
   }
-  data_.assign(static_cast<size_t>(dims.product()), 0.0f);
+  data_ = Storage::zeros(size());
+}
+
+Tensor::Tensor(Dims dims, Storage storage)
+    : dims_(dims), data_(std::move(storage)) {
+  BDL_CHECK_MSG(dims.rank() > 0 && data_.size() >= size(),
+                "storage of " << data_.size() << " floats cannot hold "
+                              << dims.str());
+}
+
+Tensor::Tensor(const Tensor& other)
+    : dims_(other.dims_), data_(Storage::uninitialized(other.size())) {
+  std::copy_n(other.data(), size(), data());
+}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this == &other) return *this;
+  if (data_.size() < other.size()) data_ = Storage::uninitialized(other.size());
+  dims_ = other.dims_;
+  std::copy_n(other.data(), size(), data());
+  return *this;
 }
 
 void Tensor::fill(float value) {
-  std::fill(data_.begin(), data_.end(), value);
+  std::fill_n(data(), size(), value);
 }
 
 void Tensor::fill_random(Rng& rng, float lo, float hi) {
-  for (auto& v : data_) v = rng.next_float(lo, hi);
+  for (float& v : span()) v = rng.next_float(lo, hi);
 }
 
 double max_abs_diff(const Tensor& a, const Tensor& b) {

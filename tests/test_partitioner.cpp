@@ -4,6 +4,7 @@
 
 #include "core/partitioner.hpp"
 #include "core/halo_plan.hpp"
+#include "graph/rewrite.hpp"
 #include "models/models.hpp"
 
 namespace brickdl {
@@ -145,6 +146,48 @@ TEST(Partitioner, FootprintBudgetLimitsDepth) {
   const Partition p = partition_graph(g, tight);
   check_partition_invariants(g, p);
   EXPECT_EQ(p.subgraphs.size(), 6u);
+}
+
+// A single layer whose merged plan exceeds the budget cannot shrink by
+// cutting, so it runs as vendor: at a 5 MB L2, ResNet-50 (batch 8) used to
+// keep res3a_proj merged at 5,308,416 bytes, which validation rejects.
+TEST(Partitioner, OverBudgetSingleLayerPlansVendor) {
+  ModelConfig config;
+  config.batch = 8;
+  const Graph g = fuse_conv_pointwise(build_resnet50(config));
+  PartitionOptions options;
+  options.machine.l2_bytes = 5 * 1024 * 1024;
+  options.l2_budget = options.machine.l2_bytes;
+  const Partition p = partition_graph(g, options);
+  check_partition_invariants(g, p);
+  bool saw_res3a_proj = false;
+  for (const PlannedSubgraph& planned : p.subgraphs) {
+    if (planned.strategy != Strategy::kVendor) {
+      EXPECT_LE(planned.footprint_bytes, options.l2_budget)
+          << g.node(planned.sg.terminal()).name;
+    }
+    if (g.node(planned.sg.terminal()).name == "res3a_proj") {
+      saw_res3a_proj = true;
+      EXPECT_EQ(planned.strategy, Strategy::kVendor);
+      EXPECT_EQ(planned.sg.nodes.size(), 1u);
+    }
+  }
+  EXPECT_TRUE(saw_res3a_proj);
+
+  // Both partitioners, at a budget nothing fits: all vendor singletons.
+  const Graph chain = build_conv_chain_2d(6, 1, 96, 64);
+  for (const std::string strategy : {"paper", "greedy"}) {
+    PartitionOptions tight;
+    tight.strategy = strategy;
+    tight.cost_aware = false;
+    tight.l2_budget = 1;
+    const Partition pt = partition_graph(chain, tight);
+    check_partition_invariants(chain, pt);
+    EXPECT_EQ(pt.subgraphs.size(), 6u) << strategy;
+    for (const PlannedSubgraph& planned : pt.subgraphs) {
+      EXPECT_EQ(planned.strategy, Strategy::kVendor) << strategy;
+    }
+  }
 }
 
 TEST(Partitioner, TinyLayersFallBackToVendor) {

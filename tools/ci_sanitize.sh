@@ -16,10 +16,14 @@
 #                         (concurrent warm-start readers racing a writer
 #                         through the atomic tmp+rename publish), and the
 #                         simulator suite (the A100 L2 on set-sharded
-#                         threads: probe rings, drain points, shutdown).
+#                         threads: probe rings, drain points, shutdown),
+#                         and the activation-lifetime tests (storage
+#                         released and recycled between pooled subgraphs).
 #   2. ASan + UBSan:      the differential fuzz suite (random graphs through
 #                         every executor variant, paper and greedy
-#                         partitioners), the window-copy property tests,
+#                         partitioners), the window-copy property tests, the
+#                         activation-lifetime tests (released storage is
+#                         poisoned, so reading a dead activation trips ASan),
 #                         plus the resilience, observability, serving,
 #                         partition, plan-cache and simulator suites
 #                         (includes the malformed-parse corpus, JSON
@@ -50,7 +54,7 @@ STAGES=${STAGES:-"tsan asan release"}
 run_stage() { [[ " $STAGES " == *" $1 "* ]]; }
 
 if run_stage tsan; then
-  echo "== [tsan] ThreadSanitizer: memoized / wavefront / thread-pool / engine-pool / resilience / obs / serve / pipeline / partition / plan-cache / sim =="
+  echo "== [tsan] ThreadSanitizer: memoized / wavefront / thread-pool / engine-pool / resilience / obs / serve / pipeline / partition / plan-cache / sim / activation-lifetime =="
   cmake -B "$SRC_DIR/build-tsan" -S "$SRC_DIR" -DBRICKDL_SANITIZE=thread
   cmake --build "$SRC_DIR/build-tsan" -j "$JOBS" \
         --target brickdl_tests --target brickdl_resilience_tests \
@@ -58,11 +62,11 @@ if run_stage tsan; then
         --target brickdl_pipeline_tests --target brickdl_partition_tests \
         --target brickdl_plan_cache_tests --target brickdl_sim_tests
   ctest --test-dir "$SRC_DIR/build-tsan" --output-on-failure --timeout 600 \
-        -R 'MemoizedExecutor|Wavefront|ThreadPool|EnginePool|Resilience|Obs|Serve|Pipeline|GreedyPartitioner|PlanCache|MemSimShards|SimGolden'
+        -R 'MemoizedExecutor|Wavefront|ThreadPool|EnginePool|Resilience|Obs|Serve|Pipeline|GreedyPartitioner|PlanCache|MemSimShards|SimGolden|ActivationLifetime'
 fi
 
 if run_stage asan; then
-  echo "== [asan] ASan+UBSan: differential fuzz + resilience + obs + serve + pipeline + partition + plan-cache + sim suites =="
+  echo "== [asan] ASan+UBSan: differential fuzz + resilience + obs + serve + pipeline + partition + plan-cache + sim + activation-lifetime suites =="
   cmake -B "$SRC_DIR/build-asan" -S "$SRC_DIR" -DBRICKDL_SANITIZE=address,undefined
   cmake --build "$SRC_DIR/build-asan" -j "$JOBS" \
         --target brickdl_tests \
@@ -83,10 +87,11 @@ if run_stage asan; then
   ctest --test-dir "$SRC_DIR/build-asan" --output-on-failure --timeout 600 \
         -L 'differential|resilience|obs|perf|serve|pipeline|partition|plan_cache|sim' \
         -E 'obs_smoke|plan_cache_smoke'
-  # The window-copy property tests (main suite): the row-wise gather and
-  # scatter copies clip and zero-fill against tensor and brick bounds.
+  # From the main suite: the window-copy property tests (the row-wise gather
+  # and scatter copies clip and zero-fill against tensor and brick bounds)
+  # and the activation-lifetime tests (runs over poisoned recycled storage).
   ctest --test-dir "$SRC_DIR/build-asan" --output-on-failure --timeout 600 \
-        -R '^WindowCopy\.'
+        -R '^(WindowCopy|ActivationLifetime)\.'
 fi
 
 if run_stage release; then
