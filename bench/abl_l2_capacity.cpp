@@ -20,7 +20,7 @@ TxnCounters run_with_l2(const Graph& graph, i64 l2_bytes, bool merged) {
     options.partition.machine = params;
     options.partition.l2_budget = params.l2_bytes;
     Engine engine(graph, options);
-    engine.run(backend);
+    engine.run_checked(backend).status().throw_if_error();
   } else {
     FusedGraphExecutor exec(graph, backend, FusionRules::kNone, 32);
     exec.run();

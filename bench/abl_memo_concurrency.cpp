@@ -41,7 +41,7 @@ int run() {
         graph.node(sg.terminal()).out_shape, Layout::kBricked, Dims{1, 8, 8},
         "out");
     MemoizedExecutor exec(graph, sg, Dims{1, 8, 8}, backend, io, workers);
-    exec.run();
+    exec.run_checked().throw_if_error();
     const auto& stats = exec.stats();
     table.add_row(
         {std::to_string(workers), std::to_string(stats.bricks_computed),

@@ -59,7 +59,7 @@ inline RunResult run_brickdl(const Graph& graph, EngineOptions options = {},
   MemoryHierarchySim sim(MachineParams::a100());
   ModelBackend backend(graph, sim);
   Engine engine(graph, std::move(options));
-  EngineResult result = engine.run(backend);
+  EngineResult result = engine.run_checked(backend).take();
   if (reports) *reports = std::move(result.reports);
   RunResult r;
   r.txns = sim.counters();
@@ -84,7 +84,8 @@ inline RunResult run_subgraph(const Graph& graph, const PlannedSubgraph& plan,
   const TensorId out = backend.register_tensor(
       terminal.out_shape, merged ? Layout::kBricked : Layout::kCanonical,
       merged ? plan.brick_extent : Dims{}, "out");
-  run_planned_subgraph(graph, plan, backend, io, out, options);
+  run_planned_subgraph_checked(graph, plan, backend, io, out, options)
+      .throw_if_error();
   sim.flush();
   RunResult r;
   r.txns = sim.counters();
@@ -170,7 +171,8 @@ inline RunResult run_forced_chain(const Graph& graph,
     const TensorId out = backend.register_tensor(
         terminal.out_shape, Layout::kBricked, plan.brick_extent, "out");
     boundary[terminal.id] = out;
-    run_planned_subgraph(graph, plan, backend, io, out, options);
+    run_planned_subgraph_checked(graph, plan, backend, io, out, options)
+        .throw_if_error();
   }
   sim.flush();
 

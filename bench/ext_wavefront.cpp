@@ -47,7 +47,7 @@ RunResult run_wavefront(const Graph& graph,
     boundary[terminal.id] = out;
     io[terminal.id] = out;
     WavefrontExecutor exec(graph, sg, plan.brick_extent, backend, io);
-    exec.run();
+    exec.run_checked().throw_if_error();
   }
   sim.flush();
   RunResult r;

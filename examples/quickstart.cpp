@@ -38,7 +38,7 @@ int main() {
 
   WeightStore weights(7);
   NumericBackend backend(graph, weights, /*workers=*/4);
-  const EngineResult result = engine.run(backend, &input);
+  const EngineResult result = engine.run_checked(backend, &input).take();
   const Tensor probabilities = backend.read(result.output);
 
   std::printf("Class probabilities:");

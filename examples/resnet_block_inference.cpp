@@ -63,10 +63,10 @@ int main() {
     if (strategy == Strategy::kPadded) {
       const HaloPlan plan(graph, sg, brick);
       PaddedExecutor exec(graph, sg, plan, backend, io);
-      exec.run();
+      exec.run_checked().throw_if_error();
     } else {
       MemoizedExecutor exec(graph, sg, brick, backend, io, 8);
-      exec.run();
+      exec.run_checked().throw_if_error();
     }
     return backend.read(io[sg.terminal()]);
   };
@@ -90,10 +90,10 @@ int main() {
     if (strategy == Strategy::kPadded) {
       const HaloPlan plan(graph, sg, brick);
       PaddedExecutor exec(graph, sg, plan, backend, io);
-      exec.run();
+      exec.run_checked().throw_if_error();
     } else {
       MemoizedExecutor exec(graph, sg, brick, backend, io, 8);
-      exec.run();
+      exec.run_checked().throw_if_error();
     }
     sim.flush();
     return sim.counters();

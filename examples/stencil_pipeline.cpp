@@ -97,7 +97,7 @@ int main() {
   const Dims brick{1, 8, 8};
   const HaloPlan plan(graph, sg, brick);
   PaddedExecutor exec(graph, sg, plan, backend, io);
-  exec.run();
+  exec.run_checked().throw_if_error();
   const Tensor merged = backend.read(io[sg.terminal()]);
 
   const double err = max_abs_diff(merged, ref_a);
@@ -118,7 +118,7 @@ int main() {
       mio[sg.terminal()] = model.register_tensor(
           Shape{1, 1, kGrid, kGrid}, Layout::kBricked, brick, "u5");
       PaddedExecutor pe(graph, sg, plan, model, mio);
-      pe.run();
+      pe.run_checked().throw_if_error();
     } else {
       // Per-step sweeps materializing every intermediate grid.
       TensorId prev = mio[0];

@@ -17,7 +17,7 @@ TuneCandidate evaluate(const Graph& graph, EngineOptions options,
   MemoryHierarchySim sim(MachineParams::a100());
   ModelBackend backend(graph, sim);
   Engine engine(graph, options);
-  engine.run(backend);
+  engine.run_checked(backend).status().throw_if_error();
   const CostModel cost(sim.params());
   const Breakdown b = cost.breakdown(sim.counters(), backend.tally());
 

@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <unordered_set>
 
 #include "core/halo_plan.hpp"
 #include "core/plan_cache.hpp"
@@ -99,6 +98,57 @@ std::vector<std::vector<int>> boundary_releases(const Graph& graph,
     if (k >= 0) releases[static_cast<size_t>(k)].push_back(node);
   }
   return releases;
+}
+
+/// Run `body`, classifying what it throws: a StatusError keeps its Status; a
+/// tripped BDL_CHECK means the plan and graph disagree (e.g. an executor
+/// rejected the subgraph's structure); anything else is a kernel fault.
+template <typename Body>
+Status classify_exceptions(Body&& body) {
+  try {
+    return body();
+  } catch (const StatusError& e) {
+    return e.status();
+  } catch (const Error& e) {
+    return Status(StatusCode::kInvalidGraph, e.what());
+  } catch (const std::exception& e) {
+    return Status(StatusCode::kKernelFailure, e.what());
+  }
+}
+
+/// Run `stages` — one memoized subgraph, or a pipelined chain of them
+/// (DESIGN.md §14) — on `pool`, or on the virtual scheduler without one.
+/// `io` maps every stage terminal and every out-of-chain producer.
+Status run_memoized(const Graph& graph,
+                    std::vector<MemoizedExecutor::StageSpec> stages,
+                    Backend& backend,
+                    const std::unordered_map<int, TensorId>& io,
+                    const EngineOptions& options, ThreadPool* pool,
+                    MemoizedExecutor::Stats* stats_out) {
+  const int workers =
+      pool ? pool->size()
+           : std::min(options.memo_workers, backend.num_workers());
+  MemoizedExecutor exec(graph, std::move(stages), backend, io, workers,
+                        options.memo_watchdog);
+  const Status status =
+      pool ? exec.run_parallel_checked(*pool) : exec.run_checked();
+  if (stats_out) *stats_out = exec.stats();
+  return status;
+}
+
+/// kKernelFailure naming the first NaN/Inf in tensor `id`, the output of
+/// node `name` (EngineOptions::verify_finite).
+Status check_finite(NumericBackend& numeric, TensorId id,
+                    const std::string& name) {
+  const Tensor t = numeric.read(id);
+  for (i64 i = 0; i < t.elements(); ++i) {
+    if (!std::isfinite(t.flat(i))) {
+      return Status(StatusCode::kKernelFailure,
+                    "non-finite value in output of '" + name +
+                        "' (flat index " + std::to_string(i) + ")");
+    }
+  }
+  return Status();
 }
 
 }  // namespace
@@ -373,24 +423,16 @@ Status run_planned_subgraph_checked(
     pool = owned_pool.get();
   }
 
-  try {
+  const Status status = classify_exceptions([&]() -> Status {
     switch (planned.strategy) {
       case Strategy::kPadded: {
         const HaloPlan plan(graph, sg, planned.brick_extent);
         PaddedExecutor exec(graph, sg, plan, backend, full_io);
         return exec.run_checked(pool);
       }
-      case Strategy::kMemoized: {
-        const int workers =
-            pool ? pool->size()
-                 : std::min(options.memo_workers, backend.num_workers());
-        MemoizedExecutor exec(graph, sg, planned.brick_extent, backend,
-                              full_io, workers, options.memo_watchdog);
-        const Status status =
-            pool ? exec.run_parallel_checked(*pool) : exec.run_checked();
-        if (stats_out) *stats_out = exec.stats();
-        return status;
-      }
+      case Strategy::kMemoized:
+        return run_memoized(graph, {{&sg, planned.brick_extent}}, backend,
+                            full_io, options, pool, stats_out);
       case Strategy::kWavefront: {
         WavefrontExecutor exec(graph, sg, planned.brick_extent, backend,
                                full_io);
@@ -432,313 +474,174 @@ Status run_planned_subgraph_checked(
         return Status();
       }
     }
-  } catch (const StatusError& e) {
+    return Status();
+  });
+  if (!status.ok()) {
     for (TensorId id : vendor_interior) backend.discard_tensor(id);
-    return e.status();
-  } catch (const Error& e) {
-    // A BDL_CHECK tripping below here means the plan and graph disagree
-    // (e.g. an executor rejected the subgraph's structure).
-    for (TensorId id : vendor_interior) backend.discard_tensor(id);
-    return Status(StatusCode::kInvalidGraph, e.what());
-  } catch (const std::exception& e) {
-    for (TensorId id : vendor_interior) backend.discard_tensor(id);
-    return Status(StatusCode::kKernelFailure, e.what());
   }
-  return Status();
+  return status;
 }
 
-MemoizedExecutor::Stats run_planned_subgraph(
-    const Graph& graph, const PlannedSubgraph& planned, Backend& backend,
-    const std::unordered_map<int, TensorId>& io, TensorId out,
-    const EngineOptions& options) {
-  MemoizedExecutor::Stats stats;
-  run_planned_subgraph_checked(graph, planned, backend, io, out, options,
-                               &stats)
-      .throw_if_error();
-  return stats;
-}
+Status Engine::run_segment(Backend& backend, ThreadPool* pool, size_t begin,
+                           size_t end,
+                           std::unordered_map<int, TensorId>& boundary,
+                           EngineResult& result) {
+  auto* numeric = dynamic_cast<NumericBackend*>(&backend);
+  auto* model = dynamic_cast<ModelBackend*>(&backend);
+  const auto& subs = partition_.subgraphs;
+  const PlannedSubgraph& lead = subs[begin];
+  const Node& lead_terminal = graph_.node(lead.sg.terminal());
+  const size_t n = end - begin;
+  const bool chained = n > 1;
+  obs::TraceSpan segment_span(
+      "engine",
+      chained ? "chain:" + lead_terminal.name + ".." +
+                    graph_.node(subs[end - 1].sg.terminal()).name
+              : "subgraph:" + lead_terminal.name,
+      {{"subgraph", static_cast<i64>(begin)}, {"members", static_cast<i64>(n)},
+       {"brick_side", lead.brick_side}},
+      options_.trace);
 
-Status Engine::run_subgraph_barriered(
-    Backend& backend, NumericBackend* numeric, ModelBackend* model,
-    ThreadPool* pool, size_t index,
-    std::unordered_map<int, TensorId>& boundary, EngineResult& result) {
-  const PlannedSubgraph& planned = partition_.subgraphs[index];
-  const Subgraph& sg = planned.sg;
-  const Node& terminal = graph_.node(sg.terminal());
-  const i64 subgraph_index = static_cast<i64>(index);
-  obs::TraceSpan sg_span("engine", "subgraph:" + terminal.name,
-                         {{"subgraph", subgraph_index},
-                          {"layers", static_cast<i64>(sg.nodes.size())},
-                          {"brick_side", planned.brick_side}},
-                         options_.trace);
-
+  // Segment io: every out-of-segment producer, and each member's terminal,
+  // bound to the attempt's output below. A member consuming an earlier
+  // member's terminal reads it inside the chained executor.
   std::unordered_map<int, TensorId> io;
-  for (int p : sg.external_inputs) io.emplace(p, boundary.at(p));
-
-  TxnCounters before;
-  ComputeTally tally_before;
-  if (model) {
-    before = model->sim().counters();
-    tally_before = model->tally();
+  std::vector<MemoizedExecutor::StageSpec> stages;
+  for (size_t k = begin; k < end; ++k) {
+    for (int p : subs[k].sg.external_inputs) {
+      if (!io.count(p)) io.emplace(p, boundary.at(p));
+    }
+    io[subs[k].sg.terminal()] = -1;
+    stages.push_back({&subs[k].sg, subs[k].brick_extent});
   }
 
-  SubgraphReport report;
-  report.plan = planned;
-  if (options_.profile) {
-    // Calibrated constants (when set) price the prediction, so the report's
-    // predicted column reflects the model the plan was optimized under.
-    report.predicted = obs::predict_subgraph(
-        graph_, planned, effective_machine(options_.partition));
-  }
+  const TxnCounters txns_before =
+      model ? model->sim().counters() : TxnCounters{};
+  const ComputeTally tally_before = model ? model->tally() : ComputeTally{};
 
-  const auto chain =
-      fallback_chain(planned.strategy, options_.graceful_fallback);
-  bool succeeded = false;
-  for (Strategy strategy : chain) {
-    PlannedSubgraph attempt = planned;
-    attempt.strategy = strategy;
+  // One member walks its degradation ladder. A chain has a single rung: the
+  // caller re-runs a failed chain's first member alone, down its own ladder.
+  const std::vector<Strategy> ladder =
+      chained ? std::vector<Strategy>{Strategy::kMemoized}
+              : fallback_chain(lead.strategy, options_.graceful_fallback);
+  const bool verify = numeric && options_.verify_finite;
+  std::vector<StrategyAttempt> attempts;
+  std::vector<TensorId> outs(n);
+  MemoizedExecutor::Stats stats;
+  Status status;
+  for (Strategy strategy : ladder) {
     const bool merged = strategy != Strategy::kVendor;
-    const bool retry = !report.attempts.empty();
-    const TensorId out_id = backend.register_tensor(
-        terminal.out_shape, merged ? Layout::kBricked : Layout::kCanonical,
-        merged ? planned.brick_extent : Dims{},
-        "out:" + terminal.name + (retry ? ":retry" : ""));
-
-    MemoizedExecutor::Stats stats;
-    Status status;
-    double attempt_seconds = 0.0;
-    {
-      obs::TraceSpan attempt_span(
-          "engine", std::string("attempt:") + strategy_name(strategy),
-          {{"subgraph", subgraph_index}, {"retry", retry ? 1 : 0}},
-          options_.trace);
-      const auto t0 = std::chrono::steady_clock::now();
+    const bool retry = !attempts.empty();
+    for (size_t k = begin; k < end; ++k) {
+      const Node& terminal = graph_.node(subs[k].sg.terminal());
+      outs[k - begin] = io[terminal.id] = backend.register_tensor(
+          terminal.out_shape, merged ? Layout::kBricked : Layout::kCanonical,
+          merged ? subs[k].brick_extent : Dims{},
+          "out:" + terminal.name + (retry ? ":retry" : ""));
+    }
+    obs::TraceSpan attempt_span(
+        "engine", std::string("attempt:") + strategy_name(strategy),
+        {{"subgraph", static_cast<i64>(begin)}, {"retry", retry ? 1 : 0}},
+        options_.trace);
+    const auto t0 = std::chrono::steady_clock::now();
+    if (chained) {
+      status = classify_exceptions([&] {
+        return run_memoized(graph_, stages, backend, io, options_, pool,
+                            &stats);
+      });
+    } else {
+      PlannedSubgraph attempt = lead;
+      attempt.strategy = strategy;
       status = run_planned_subgraph_checked(graph_, attempt, backend, io,
-                                            out_id, options_, &stats, pool);
-      attempt_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+                                            outs[0], options_, &stats, pool);
     }
-    if (status.ok() && options_.verify_finite && numeric) {
-      const Tensor t = numeric->read(out_id);
-      for (i64 i = 0; i < t.elements(); ++i) {
-        if (!std::isfinite(t.flat(i))) {
-          status = Status(StatusCode::kKernelFailure,
-                          "non-finite value in output of '" +
-                              terminal.name + "' (flat index " +
-                              std::to_string(i) + ")");
-          break;
-        }
-      }
+    const double seconds = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+    for (size_t k = 0; k < n && status.ok() && verify; ++k) {
+      status = check_finite(*numeric, outs[k],
+                            graph_.node(subs[begin + k].sg.terminal()).name);
     }
-    report.attempts.push_back({strategy, status, attempt_seconds});
-    if (status.ok()) {
-      report.executed = strategy;
-      report.memo = stats;
-      report.wall_seconds = attempt_seconds;
-      boundary[terminal.id] = out_id;
-      succeeded = true;
-      break;
-    }
-    backend.discard_tensor(out_id);  // failed attempt's output is garbage
+    attempts.push_back({strategy, status, seconds});
+    if (status.ok()) break;
+    // A failed attempt's outputs are garbage.
+    for (TensorId id : outs) backend.discard_tensor(id);
   }
 
-  if (!succeeded) {
-    // Every rung of the chain failed: emit a replay line so the failure
+  if (!status.ok()) {
+    if (chained) return status;
+    // Every rung of the ladder failed: emit a replay line so the failure
     // can be reproduced outside the engine, then fail the run with the
     // final (most conservative) strategy's classification.
-    const Status& last = report.attempts.back().status;
     std::ostringstream oss;
     oss << "brickdl: unrecoverable failure in graph '" << graph_.name()
-        << "', subgraph terminating at '" << terminal.name << "':";
-    for (const StrategyAttempt& a : report.attempts) {
+        << "', subgraph terminating at '" << lead_terminal.name << "':";
+    for (const StrategyAttempt& a : attempts) {
       oss << " [" << strategy_name(a.strategy) << ": " << a.status.to_string()
           << "]";
     }
     oss << "\nbrickdl: replay: run_planned_subgraph_checked on '"
-        << terminal.name << "' with force_brick_side="
-        << planned.brick_side << " memo_workers=" << options_.memo_workers
+        << lead_terminal.name << "' with force_brick_side="
+        << lead.brick_side << " memo_workers=" << options_.memo_workers
         << " memo_parallel=" << (options_.memo_parallel ? 1 : 0)
         << " (cf. brickdl_fuzz --seed/--graph-idx for fuzzer-found graphs)";
     std::cerr << oss.str() << std::endl;
     if (options_.metrics) obs::metrics().counter("engine.failures").add(1);
-    return Status(last.code(),
-                  "subgraph terminating at '" + terminal.name +
-                      "' failed after " +
-                      std::to_string(report.attempts.size()) +
-                      " strategies; last: " + last.to_string());
+    return Status(status.code(),
+                  "subgraph terminating at '" + lead_terminal.name +
+                      "' failed after " + std::to_string(attempts.size()) +
+                      " strategies; last: " + status.to_string());
   }
 
-  if (model) {
-    // Profiling wants per-subgraph byte attribution: flush the simulator
-    // so this subgraph's buffered writebacks land in its own delta instead
-    // of the end-of-run flush. (Costs extra modeled txns at subgraph
-    // granularity, which is exactly the compulsory-writeback semantics the
-    // predictor assumes.)
-    if (options_.profile) model->sim().flush();
-    report.txns = model->sim().counters() - before;
-    ComputeTally after = model->tally();
-    report.tally.invocations = after.invocations - tally_before.invocations;
-    report.tally.flops = after.flops - tally_before.flops;
-    report.tally.tc_flops = after.tc_flops - tally_before.tc_flops;
-    report.tally.defers = after.defers - tally_before.defers;
-    report.tally.bricks_reduced =
-        after.bricks_reduced - tally_before.bricks_reduced;
-  }
+  const StrategyAttempt done = attempts.back();  // attempts moves below
   if (options_.metrics) {
-    obs::metrics().counter("engine.subgraphs").add(1);
-    if (report.attempts.size() > 1) {
-      obs::metrics().counter("engine.fallbacks").add(1);
-    }
-    obs::metrics()
-        .histogram("engine.subgraph_us")
-        .observe(static_cast<i64>(report.wall_seconds * 1e6));
-  }
-  result.reports.push_back(std::move(report));
-  return Status();
-}
-
-bool Engine::try_run_chain(Backend& backend, NumericBackend* numeric,
-                           ModelBackend* model, ThreadPool* pool,
-                           size_t begin, size_t end,
-                           std::unordered_map<int, TensorId>& boundary,
-                           EngineResult& result) {
-  const auto& subs = partition_.subgraphs;
-  const i64 n = static_cast<i64>(end - begin);
-  const Node& first_terminal = graph_.node(subs[begin].sg.terminal());
-  const Node& last_terminal = graph_.node(subs[end - 1].sg.terminal());
-  obs::TraceSpan chain_span(
-      "engine", "chain:" + first_terminal.name + ".." + last_terminal.name,
-      {{"subgraph", static_cast<i64>(begin)}, {"members", n}},
-      options_.trace);
-
-  // Chain io: every member's out-of-chain producer (an earlier member's
-  // terminal is an internal boundary and resolves inside the executor), plus
-  // one bricked output tensor per member terminal. Interior terminals stay
-  // live — subgraphs beyond the chain may still consume them.
-  std::unordered_set<int> chain_terminals;
-  for (size_t k = begin; k < end; ++k) {
-    chain_terminals.insert(subs[k].sg.terminal());
-  }
-  std::unordered_map<int, TensorId> io;
-  for (size_t k = begin; k < end; ++k) {
-    for (int nid : subs[k].sg.nodes) {
-      for (int p : graph_.node(nid).inputs) {
-        if (subs[k].sg.contains(p) || chain_terminals.count(p)) continue;
-        io.emplace(p, boundary.at(p));
-      }
+    auto& m = obs::metrics();
+    m.counter("engine.subgraphs").add(static_cast<i64>(n));
+    if (attempts.size() > 1) m.counter("engine.fallbacks").add(1);
+    m.histogram("engine.subgraph_us")
+        .observe(static_cast<i64>(done.wall_seconds * 1e6));
+    if (chained) {
+      m.counter("engine.pipeline.chains").add(1);
+      m.counter("engine.pipeline.chain_subgraphs").add(static_cast<i64>(n));
+      m.counter("engine.pipeline.cross_claims")
+          .add(stats.cross_boundary_claims);
+      m.histogram("engine.pipeline.idle_tail_us")
+          .observe(static_cast<i64>(stats.idle_tail_seconds * 1e6));
     }
   }
-  std::vector<TensorId> outs;
-  std::vector<MemoizedExecutor::StageSpec> stages;
-  outs.reserve(static_cast<size_t>(n));
-  stages.reserve(static_cast<size_t>(n));
-  for (size_t k = begin; k < end; ++k) {
-    const Node& terminal = graph_.node(subs[k].sg.terminal());
-    const TensorId out_id =
-        backend.register_tensor(terminal.out_shape, Layout::kBricked,
-                                subs[k].brick_extent, "out:" + terminal.name);
-    outs.push_back(out_id);
-    io[subs[k].sg.terminal()] = out_id;
-    stages.push_back({&subs[k].sg, subs[k].brick_extent});
-  }
-
-  TxnCounters before;
-  ComputeTally tally_before;
-  if (model) {
-    before = model->sim().counters();
-    tally_before = model->tally();
-  }
-
-  const int workers =
-      pool ? pool->size()
-           : std::min(options_.memo_workers, backend.num_workers());
-  MemoizedExecutor::Stats stats;
-  Status status;
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    MemoizedExecutor exec(graph_, stages, backend, io, workers,
-                          options_.memo_watchdog);
-    status = pool ? exec.run_parallel_checked(*pool) : exec.run_checked();
-    stats = exec.stats();
-  } catch (const StatusError& e) {
-    status = e.status();
-  } catch (const Error& e) {
-    status = Status(StatusCode::kInvalidGraph, e.what());
-  } catch (const std::exception& e) {
-    status = Status(StatusCode::kKernelFailure, e.what());
-  }
-  const double chain_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  if (status.ok() && options_.verify_finite && numeric) {
-    for (size_t k = begin; k < end && status.ok(); ++k) {
-      const Tensor t = numeric->read(outs[k - begin]);
-      for (i64 i = 0; i < t.elements(); ++i) {
-        if (!std::isfinite(t.flat(i))) {
-          status = Status(StatusCode::kKernelFailure,
-                          "non-finite value in output of '" +
-                              graph_.node(subs[k].sg.terminal()).name +
-                              "' (flat index " + std::to_string(i) + ")");
-          break;
-        }
-      }
-    }
-  }
-
-  if (!status.ok()) {
-    // The chain is all-or-nothing: drop its outputs and let the caller
-    // re-run the members barriered, where each gets its own degradation
-    // ladder (and, on repeat failure, its own replay line).
-    for (TensorId id : outs) backend.discard_tensor(id);
-    return false;
-  }
-
   for (size_t k = begin; k < end; ++k) {
     SubgraphReport report;
     report.plan = subs[k];
-    report.executed = Strategy::kMemoized;
-    report.pipelined = true;
-    report.chain_len = static_cast<int>(n);
-    const bool lead = k == begin;
-    const double secs = lead ? chain_seconds : 0.0;
-    report.attempts.push_back({Strategy::kMemoized, Status(), secs});
-    report.wall_seconds = secs;
-    if (lead) {
-      // One executor served the whole chain, so the protocol stats and the
-      // modeled counter delta aggregate on the lead member's report.
+    report.executed = done.strategy;
+    report.pipelined = chained;
+    report.chain_len = chained ? static_cast<int>(n) : 0;
+    if (options_.profile) {
+      // Calibrated constants (when set) price the prediction, so it reflects
+      // the model the plan was optimized under.
+      report.predicted = obs::predict_subgraph(
+          graph_, subs[k], effective_machine(options_.partition));
+    }
+    if (k == begin) {
+      // The lead member carries the segment's wall time, memo stats and
+      // model deltas; the other members stay zero, so totals still sum.
+      report.attempts = std::move(attempts);
+      report.wall_seconds = done.wall_seconds;
       report.memo = stats;
       if (model) {
-        report.txns = model->sim().counters() - before;
-        ComputeTally after = model->tally();
-        report.tally.invocations =
-            after.invocations - tally_before.invocations;
-        report.tally.flops = after.flops - tally_before.flops;
-        report.tally.tc_flops = after.tc_flops - tally_before.tc_flops;
-        report.tally.defers = after.defers - tally_before.defers;
-        report.tally.bricks_reduced =
-            after.bricks_reduced - tally_before.bricks_reduced;
+        // Profiling (never chained) flushes the simulator so the subgraph's
+        // buffered writebacks land in its own delta: the compulsory-writeback
+        // semantics the predictor assumes.
+        if (options_.profile) model->sim().flush();
+        report.txns = model->sim().counters() - txns_before;
+        report.tally = model->tally() - tally_before;
       }
+    } else {
+      report.attempts.push_back({done.strategy, Status(), 0.0});
     }
     boundary[subs[k].sg.terminal()] = outs[k - begin];
     result.reports.push_back(std::move(report));
   }
-  if (options_.metrics) {
-    obs::metrics().counter("engine.subgraphs").add(n);
-    obs::metrics().counter("engine.pipeline.chains").add(1);
-    obs::metrics().counter("engine.pipeline.chain_subgraphs").add(n);
-    obs::metrics()
-        .counter("engine.pipeline.cross_claims")
-        .add(stats.cross_boundary_claims);
-    obs::metrics()
-        .histogram("engine.subgraph_us")
-        .observe(static_cast<i64>(chain_seconds * 1e6));
-    obs::metrics()
-        .histogram("engine.pipeline.idle_tail_us")
-        .observe(static_cast<i64>(stats.idle_tail_seconds * 1e6));
-  }
-  return true;
+  return Status();
 }
 
 Result<EngineResult> Engine::run_checked(Backend& backend,
@@ -757,7 +660,7 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
   std::unordered_map<int, TensorId> boundary;
   // Release the boundary tensors subgraph k was the last consumer of. Only
   // after it succeeded: a degradation-ladder retry or a failed chain's
-  // barriered fallback re-reads the same inputs.
+  // re-run re-reads the same inputs.
   const auto release_consumed = [&](size_t k) {
     for (int node : release_after_[k]) {
       backend.release_tensor(boundary.at(node));
@@ -794,31 +697,28 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
   const auto& subs = partition_.subgraphs;
   size_t index = 0;
   while (index < subs.size()) {
-    size_t chain_end = index + 1;
+    // A segment is one subgraph or, pipelining, a maximal run of memoized
+    // subgraphs sharing a blocked rank.
+    size_t end = index + 1;
     if (pipelining && subs[index].strategy == Strategy::kMemoized) {
-      while (chain_end < subs.size() &&
-             subs[chain_end].strategy == Strategy::kMemoized &&
-             subs[chain_end].brick_extent.rank() ==
-                 subs[index].brick_extent.rank()) {
-        ++chain_end;
+      while (end < subs.size() && subs[end].strategy == Strategy::kMemoized &&
+             subs[end].brick_extent.rank() == subs[index].brick_extent.rank()) {
+        ++end;
       }
     }
-    if (chain_end > index + 1) {
-      if (try_run_chain(backend, numeric, model, pool.get(), index, chain_end,
-                        boundary, result)) {
-        for (; index < chain_end; ++index) release_consumed(index);
-        continue;
-      }
-      // Chain failed: fall back to running the members barriered, where each
-      // gets its own per-subgraph degradation ladder.
+    Status status =
+        run_segment(backend, pool.get(), index, end, boundary, result);
+    if (!status.ok() && end > index + 1) {
+      // A failed chain left nothing behind: its first member runs alone,
+      // down its own degradation ladder, and the next re-forms a segment.
       if (options_.metrics) {
         obs::metrics().counter("engine.pipeline.chain_fallbacks").add(1);
       }
+      end = index + 1;
+      status = run_segment(backend, pool.get(), index, end, boundary, result);
     }
-    BDL_RETURN_IF_ERROR(run_subgraph_barriered(
-        backend, numeric, model, pool.get(), index, boundary, result));
-    release_consumed(index);
-    ++index;
+    BDL_RETURN_IF_ERROR(status);
+    for (; index < end; ++index) release_consumed(index);
   }
 
   if (model) {

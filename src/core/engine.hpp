@@ -5,12 +5,19 @@
 // layers (§3.3.3). Runs against either backend: numerically for correctness,
 // against the simulator for the paper's performance methodology.
 //
+// Execution: `run_checked()` walks the partition as *segments* — one
+// subgraph, or (with `pipeline_subgraphs`) a maximal run of memoized
+// subgraphs of one blocked rank — and runs every segment through one runner
+// (DESIGN.md §7.3, §14) that binds io, registers outputs, scans them for
+// NaN/Inf, discards them on failure, and fills reports and counter deltas.
+//
 // Resilience (DESIGN.md §7): `validate()` runs a pre-flight pass over the
-// graph, options, and partition; `run_checked()` executes each subgraph
-// through a graceful-degradation chain (memoized → padded → vendor), so a
-// contained failure in an aggressive merged strategy degrades performance
-// instead of killing the run. Every attempt and its classifying Status is
-// recorded in the subgraph's report.
+// graph, options, and partition. A one-subgraph segment walks a
+// graceful-degradation ladder (memoized → padded → vendor), so a contained
+// failure in an aggressive merged strategy degrades performance instead of
+// killing the run; a failed chain re-runs its first member alone, down that
+// member's ladder, and re-forms a segment from the next. Every attempt and
+// its classifying Status is recorded in the subgraph's report.
 #pragma once
 
 #include <optional>
@@ -154,10 +161,6 @@ class Engine {
   /// the caller releases it.
   Result<EngineResult> run_checked(Backend& backend,
                                    const Tensor* input = nullptr);
-  /// Throwing wrapper (legacy call sites).
-  EngineResult run(Backend& backend, const Tensor* input = nullptr) {
-    return run_checked(backend, input).take();
-  }
 
   /// Batched-run entry point for the serving front-end (src/serve/): stack
   /// `parts` along the batch dimension, bind the stacked tensor to the
@@ -181,25 +184,15 @@ class Engine {
       EngineResult* engine_result = nullptr, const RunContext* ctx = nullptr);
 
  private:
-  /// Execute partition_.subgraphs[index] through the degradation chain,
-  /// exactly as the classic barriered loop did. Appends one SubgraphReport
-  /// and publishes the terminal into `boundary` on success.
-  /// `pool` is the run's pool (null without memo_parallel).
-  Status run_subgraph_barriered(Backend& backend, NumericBackend* numeric,
-                                ModelBackend* model, ThreadPool* pool,
-                                size_t index,
-                                std::unordered_map<int, TensorId>& boundary,
-                                EngineResult& result);
-  /// Execute partition_.subgraphs[begin, end) — all memoized — as one
-  /// pipelined chain (DESIGN.md §14). On success appends one report per
-  /// member and publishes every terminal. Returns false (with nothing
-  /// appended or published) when the chain fails; the caller falls back to
-  /// running the members barriered, restoring the per-subgraph degradation
-  /// ladder.
-  bool try_run_chain(Backend& backend, NumericBackend* numeric,
-                     ModelBackend* model, ThreadPool* pool, size_t begin,
-                     size_t end,
-                     std::unordered_map<int, TensorId>& boundary,
+  /// Execute the segment partition_.subgraphs[begin, end): one subgraph
+  /// down its degradation ladder, or a pipelined chain of memoized ones
+  /// (DESIGN.md §14) in one attempt. On success appends one report per
+  /// member (the first carries the segment's time, memo stats and model
+  /// deltas) and publishes every terminal into `boundary`. On failure
+  /// nothing is appended or published; a failed single subgraph has printed
+  /// its replay line. `pool` is the run's pool (null without memo_parallel).
+  Status run_segment(Backend& backend, ThreadPool* pool, size_t begin,
+                     size_t end, std::unordered_map<int, TensorId>& boundary,
                      EngineResult& result);
 
   const Graph& graph_;
@@ -224,12 +217,6 @@ Status run_planned_subgraph_checked(
     const std::unordered_map<int, TensorId>& io, TensorId out,
     const EngineOptions& options,
     MemoizedExecutor::Stats* stats_out = nullptr, ThreadPool* pool = nullptr);
-
-/// Throwing wrapper (legacy call sites).
-MemoizedExecutor::Stats run_planned_subgraph(
-    const Graph& graph, const PlannedSubgraph& planned, Backend& backend,
-    const std::unordered_map<int, TensorId>& io, TensorId out,
-    const EngineOptions& options);
 
 // ---- per-request batching hooks (serving front-end, DESIGN.md §10) ----
 

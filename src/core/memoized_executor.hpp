@@ -22,13 +22,15 @@
 // one-stage special case.
 //
 // Two drivers share the protocol code and the real std::atomic state:
-//  * run()          — deterministic round-robin virtual scheduler: one
-//                     protocol step per worker per tick. This models many
-//                     concurrently-resident blocks on one thread, so conflict
-//                     counts are reproducible; used by the model benches.
-//  * run_parallel() — one OS thread per worker (the engine's host mode,
-//                     EngineOptions::memo_parallel): the protocol must be
-//                     linearizable, and the tests hammer it.
+//  * run_checked()          — deterministic round-robin virtual scheduler:
+//                              one protocol step per worker per tick. This
+//                              models many concurrently-resident blocks on
+//                              one thread, so conflict counts are
+//                              reproducible; used by the model benches.
+//  * run_parallel_checked() — one OS thread per worker (the engine's host
+//                              mode, EngineOptions::memo_parallel): the
+//                              protocol must be linearizable, and the tests
+//                              hammer it.
 //
 // Resilience (DESIGN.md §7): the paper's protocol assumes every worker
 // eventually publishes. This implementation does not — a stall watchdog
@@ -132,12 +134,6 @@ class MemoizedExecutor {
   Status run_checked();
   /// Real-thread execution; pool must have exactly num_workers threads.
   Status run_parallel_checked(ThreadPool& pool);
-
-  /// Throwing wrappers around the checked drivers (legacy call sites).
-  void run() { run_checked().throw_if_error(); }
-  void run_parallel(ThreadPool& pool) {
-    run_parallel_checked(pool).throw_if_error();
-  }
 
   const Stats& stats() const { return stats_; }
   /// Consistent-enough mid-run snapshot of the protocol counters: each

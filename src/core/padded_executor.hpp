@@ -32,8 +32,6 @@ class PaddedExecutor {
   /// mirroring GPU block scheduling. A faulting kernel aborts the sweep and
   /// returns a classified kKernelFailure; scratch is discarded either way.
   Status run_checked(ThreadPool* pool = nullptr);
-  /// Throwing wrapper (legacy call sites).
-  void run(ThreadPool* pool = nullptr) { run_checked(pool).throw_if_error(); }
 
   i64 bricks_executed() const { return bricks_executed_; }
 

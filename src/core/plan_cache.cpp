@@ -193,7 +193,6 @@ obs::Json PlanCache::entry_to_json(const Graph& graph,
   doc.set("subgraphs", std::move(subgraphs));
 
   if (entry.calibration) doc.set("calibration", entry.calibration->to_json());
-  if (!entry.autotune.is_null()) doc.set("autotune", entry.autotune);
   return doc;
 }
 
@@ -347,7 +346,6 @@ Result<PlanCacheEntry> PlanCache::entry_from_json(const obs::Json& doc,
     if (!c.valid()) return reject("calibration constants are not positive");
     entry.calibration = c;
   }
-  if (const obs::Json* tune = doc.find("autotune")) entry.autotune = *tune;
   return entry;
 }
 

@@ -52,12 +52,10 @@ std::string plan_options_fingerprint(const EngineOptions& options);
 i64 graph_rows(const Graph& graph);
 
 /// One persisted plan: the partition the engine would have computed cold,
-/// plus the calibration snapshot it was planned under (when any) and an
-/// opaque autotune block for harnesses that persist tuning results.
+/// plus the calibration snapshot it was planned under (when any).
 struct PlanCacheEntry {
   Partition partition;
   std::optional<obs::CalibratedConstants> calibration;
-  obs::Json autotune;  ///< null when absent; round-tripped verbatim
 };
 
 struct PlanCacheLookup {

@@ -44,8 +44,6 @@ class WavefrontExecutor {
   /// and returns a classified kKernelFailure; interior memo buffers are
   /// discarded either way.
   Status run_checked();
-  /// Throwing wrapper (legacy call sites).
-  void run() { run_checked().throw_if_error(); }
 
   const Stats& stats() const { return stats_; }
 

@@ -35,6 +35,16 @@ struct ComputeTally {
     syncs += o.syncs;
     return *this;
   }
+  ComputeTally operator-(const ComputeTally& o) const {
+    ComputeTally d;
+    d.invocations = invocations - o.invocations;
+    d.flops = flops - o.flops;
+    d.tc_flops = tc_flops - o.tc_flops;
+    d.defers = defers - o.defers;
+    d.bricks_reduced = bricks_reduced - o.bricks_reduced;
+    d.syncs = syncs - o.syncs;
+    return d;
+  }
 };
 
 /// Execution-time breakdown in seconds, mirroring Figures 8, 10, 11:

@@ -104,7 +104,7 @@ struct DiffRun {
   Tensor engine_output(const EngineOptions& eo, int backend_workers) {
     Engine engine(graph, eo);
     NumericBackend backend(graph, weights, backend_workers);
-    const EngineResult result = engine.run(backend, &input);
+    const EngineResult result = engine.run_checked(backend, &input).take();
     return backend.read(result.output);
   }
 

@@ -15,18 +15,40 @@ Tensor random_input(const Graph& g, u64 seed = 21) {
 }
 
 /// End-to-end: engine output (any partition/strategy mix) == reference.
-void check_engine_matches_reference(const Graph& g, EngineOptions options = {},
-                                    u64 seed = 21) {
+/// `reports` (optional) receives the run's subgraph reports.
+void check_engine_matches_reference(
+    const Graph& g, EngineOptions options = {}, u64 seed = 21,
+    std::vector<SubgraphReport>* reports = nullptr) {
   WeightStore ws(99);
   const Tensor input = random_input(g, seed);
   const auto reference = run_graph_reference(g, input, ws);
 
   Engine engine(g, options);
   NumericBackend backend(g, ws, 4);
-  const EngineResult result = engine.run(backend, &input);
+  auto run = engine.run_checked(backend, &input);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  const EngineResult& result = run.value();
   const int output = g.outputs()[0];
   EXPECT_TRUE(allclose(backend.read(result.output),
                        reference[static_cast<size_t>(output)], 2e-4));
+  if (reports) *reports = result.reports;
+}
+
+/// build_conv_chain_2d(4, 1, 36, 4) plans merged (memoized at B=4), so a
+/// forced strategy reaches every subgraph: each must run it and still match
+/// the reference. (A graph the partitioner plans vendor would skip the
+/// override and never exercise the forced strategy.)
+void check_forced_strategy(Strategy strategy) {
+  EngineOptions options;
+  options.force_strategy = strategy;
+  std::vector<SubgraphReport> reports;
+  check_engine_matches_reference(build_conv_chain_2d(4, 1, 36, 4), options,
+                                 21, &reports);
+  ASSERT_FALSE(reports.empty());
+  for (const SubgraphReport& report : reports) {
+    EXPECT_EQ(report.executed, strategy)
+        << "subgraph ran " << strategy_name(report.executed);
+  }
 }
 
 TEST(Engine, ConvChainAutoStrategy) {
@@ -34,21 +56,15 @@ TEST(Engine, ConvChainAutoStrategy) {
 }
 
 TEST(Engine, ConvChainForcedPadded) {
-  EngineOptions options;
-  options.force_strategy = Strategy::kPadded;
-  check_engine_matches_reference(build_conv_chain_2d(4, 1, 20, 3), options);
+  check_forced_strategy(Strategy::kPadded);
 }
 
 TEST(Engine, ConvChainForcedMemoized) {
-  EngineOptions options;
-  options.force_strategy = Strategy::kMemoized;
-  check_engine_matches_reference(build_conv_chain_2d(4, 1, 20, 3), options);
+  check_forced_strategy(Strategy::kMemoized);
 }
 
 TEST(Engine, ConvChainForcedWavefront) {
-  EngineOptions options;
-  options.force_strategy = Strategy::kWavefront;
-  check_engine_matches_reference(build_conv_chain_2d(4, 1, 20, 3), options);
+  check_forced_strategy(Strategy::kWavefront);
 }
 
 TEST(Engine, WavefrontEnabledCostModel) {
@@ -115,7 +131,9 @@ TEST(Engine, ModelBackendCollectsReports) {
   Engine engine(g, {});
   MemoryHierarchySim sim(MachineParams::a100());
   ModelBackend backend(g, sim);
-  const EngineResult result = engine.run(backend);
+  auto run = engine.run_checked(backend);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  const EngineResult& result = run.value();
   ASSERT_FALSE(result.reports.empty());
   i64 total_l1 = 0;
   for (const auto& report : result.reports) {
@@ -125,6 +143,56 @@ TEST(Engine, ModelBackendCollectsReports) {
   EXPECT_GT(total_l1, 0);
   EXPECT_GE(result.total_txns.l1, total_l1);
   EXPECT_GT(result.total_txns.dram(), 0);
+}
+
+/// Run `g` on a ModelBackend, barriered and pipelined, and check that the
+/// reports' tally deltas sum to the run total field by field: every kernel
+/// launch, flop and barrier is charged to exactly one report.
+void check_tally_sums_to_total(const Graph& g, EngineOptions options,
+                               bool expect_chain, bool expect_syncs) {
+  for (bool pipeline : {false, true}) {
+    SCOPED_TRACE(pipeline ? "pipelined" : "barriered");
+    options.pipeline_subgraphs = pipeline;
+    Engine engine(g, options);
+    MemoryHierarchySim sim(MachineParams::a100());
+    ModelBackend backend(g, sim);
+    auto run = engine.run_checked(backend);
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    const EngineResult& result = run.value();
+    ComputeTally sum;
+    bool chained = false;
+    for (const SubgraphReport& report : result.reports) {
+      sum += report.tally;
+      chained = chained || report.pipelined;
+    }
+    EXPECT_EQ(chained, pipeline && expect_chain);
+    const ComputeTally& total = result.total_tally;
+    EXPECT_EQ(sum.invocations, total.invocations);
+    EXPECT_DOUBLE_EQ(sum.flops, total.flops);
+    EXPECT_DOUBLE_EQ(sum.tc_flops, total.tc_flops);
+    EXPECT_EQ(sum.defers, total.defers);
+    EXPECT_EQ(sum.bricks_reduced, total.bricks_reduced);
+    EXPECT_EQ(sum.syncs, total.syncs);
+    EXPECT_EQ(total.syncs > 0, expect_syncs);
+  }
+}
+
+TEST(EngineReports, TallySumsToRunTotal) {
+  {
+    SCOPED_TRACE("memoized chain");
+    EngineOptions options;
+    options.partition.max_layers = 2;
+    options.force_strategy = Strategy::kMemoized;
+    check_tally_sums_to_total(build_conv_chain_2d(6, 1, 32, 8), options,
+                              /*expect_chain=*/true, /*expect_syncs=*/false);
+  }
+  {
+    SCOPED_TRACE("forced wavefront");
+    EngineOptions options;
+    options.force_strategy = Strategy::kWavefront;
+    check_tally_sums_to_total(build_conv_chain_2d(4, 1, 36, 4), options,
+                              /*expect_chain=*/false, /*expect_syncs=*/true);
+  }
 }
 
 TEST(Engine, MergedBeatsVendorOnDram) {
@@ -148,7 +216,7 @@ TEST(Engine, MergedBeatsVendorOnDram) {
     EngineOptions options;
     options.partition.cost_aware = false;  // force merging at this tiny scale
     Engine engine(g, options);
-    engine.run(backend);
+    ASSERT_TRUE(engine.run_checked(backend).ok());
     dram_merged = sim.counters().dram();
   }
   EXPECT_LT(dram_merged, dram_vendor);

@@ -101,7 +101,9 @@ TEST(ModelSimSweep, EngineRunsEveryZooModelOnTheSimulator) {
     MemoryHierarchySim sim(MachineParams::a100());
     ModelBackend backend(graph, sim);
     Engine engine(graph, {});
-    const EngineResult result = engine.run(backend);
+    auto run = engine.run_checked(backend);
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    const EngineResult& result = run.value();
 
     EXPECT_GT(result.total_txns.l1, 0);
     EXPECT_GT(result.total_txns.dram(), 0);
@@ -167,7 +169,7 @@ TEST(ModelSimSweep, ForcedStrategiesAgreeOnDramForPointwiseChains) {
     options.partition.cost_aware = false;
     options.force_strategy = strategy;
     Engine engine(g, options);
-    engine.run(backend);
+    ASSERT_TRUE(engine.run_checked(backend).ok());
     (strategy == Strategy::kPadded ? dram_padded : dram_memoized) =
         sim.counters().dram();
   }

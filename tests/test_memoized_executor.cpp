@@ -44,9 +44,9 @@ MemoRun run_memoized(const Graph& g, const Subgraph& sg,
   MemoizedExecutor exec(g, sg, brick_extent, backend, io, workers);
   if (parallel) {
     ThreadPool pool(workers);
-    exec.run_parallel(pool);
+    EXPECT_TRUE(exec.run_parallel_checked(pool).ok());
   } else {
-    exec.run();
+    EXPECT_TRUE(exec.run_checked().ok());
   }
   MemoRun r;
   r.output = backend.read(out);
@@ -157,9 +157,9 @@ TEST(MemoizedExecutor, ExactlyOncePerReachableBrickAcrossWorkerCounts) {
         MemoizedExecutor exec(g, sg, brick_extent, backend, io, workers);
         if (parallel) {
           ThreadPool pool(workers);
-          exec.run_parallel(pool);
+          ASSERT_TRUE(exec.run_parallel_checked(pool).ok());
         } else {
-          exec.run();
+          ASSERT_TRUE(exec.run_checked().ok());
         }
         EXPECT_EQ(exec.stats().bricks_computed, exec.reachable_bricks());
         if (gp == &strided) {
@@ -265,7 +265,7 @@ TEST(MemoizedExecutor, ModelBackendCountsAtomics) {
   io[sg.terminal()] = backend.register_tensor(
       g.node(sg.terminal()).out_shape, Layout::kBricked, Dims{1, 4, 4}, "out");
   MemoizedExecutor exec(g, sg, Dims{1, 4, 4}, backend, io, 8);
-  exec.run();
+  ASSERT_TRUE(exec.run_checked().ok());
   const TxnCounters txns = sim.counters();
   EXPECT_EQ(txns.atomics_compulsory, exec.stats().compulsory_atomics);
   EXPECT_EQ(txns.atomics_conflict, exec.stats().conflict_atomics);

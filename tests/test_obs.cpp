@@ -46,7 +46,7 @@ ModelRun run_model(const Graph& graph, EngineOptions options) {
   ModelBackend backend(graph, sim);
   Engine engine(graph, std::move(options));
   ModelRun run;
-  run.result = engine.run(backend);
+  run.result = engine.run_checked(backend).take();
   run.machine = sim.params();
   return run;
 }
@@ -491,7 +491,7 @@ TEST(ObsMemoStats, MidRunSnapshotIsMonotonicAndConverges) {
   });
 
   ThreadPool pool(workers);
-  exec.run_parallel(pool);
+  EXPECT_TRUE(exec.run_parallel_checked(pool).ok());
   done.store(true, std::memory_order_release);
   poller.join();
 

@@ -39,9 +39,9 @@ void check_padded_matches_reference(const Graph& g, const Subgraph& sg,
   PaddedExecutor exec(g, sg, plan, backend, io);
   if (parallel) {
     ThreadPool pool(workers);
-    exec.run(&pool);
+    ASSERT_TRUE(exec.run_checked(&pool).ok());
   } else {
-    exec.run();
+    ASSERT_TRUE(exec.run_checked().ok());
   }
   EXPECT_EQ(exec.bricks_executed(), plan.num_bricks());
   EXPECT_TRUE(allclose(backend.read(out),
@@ -168,7 +168,7 @@ TEST(PaddedExecutor, ModelBackendProducesTraffic) {
       g.node(sg.terminal()).out_shape, Layout::kBricked, Dims{1, 4, 4}, "out");
   const HaloPlan plan(g, sg, Dims{1, 4, 4});
   PaddedExecutor exec(g, sg, plan, backend, io);
-  exec.run();
+  ASSERT_TRUE(exec.run_checked().ok());
   const TxnCounters txns = sim.counters();
   EXPECT_GT(txns.l1, 0);
   EXPECT_GT(txns.dram_read, 0);

@@ -91,7 +91,7 @@ TEST(PlanCache, EngineColdPopulatesWarmHitsBitIdentical) {
   auto run_once = [&] {
     Engine engine(graph, eo);
     NumericBackend backend(graph, weights, 2);
-    const EngineResult result = engine.run(backend, &input);
+    const EngineResult result = engine.run_checked(backend, &input).take();
     return backend.read(result.output);
   };
 
@@ -371,7 +371,7 @@ TEST(PlanCache, ConcurrentEnginesWarmStartFromOneCache) {
     threads.emplace_back([&, t] {
       Engine engine(graph, eo);
       NumericBackend backend(graph, weights, 1);
-      const EngineResult result = engine.run(backend, &input);
+      const EngineResult result = engine.run_checked(backend, &input).take();
       outputs[static_cast<size_t>(t)] = backend.read(result.output);
     });
   }

@@ -199,10 +199,10 @@ TEST_P(ExecutorEquivalence, MergedMatchesReference) {
   if (param.strategy == Strategy::kPadded) {
     const HaloPlan plan(g, sg, brick);
     PaddedExecutor exec(g, sg, plan, backend, io);
-    exec.run();
+    ASSERT_TRUE(exec.run_checked().ok());
   } else {
     MemoizedExecutor exec(g, sg, brick, backend, io, 4);
-    exec.run();
+    ASSERT_TRUE(exec.run_checked().ok());
   }
 
   EXPECT_TRUE(allclose(backend.read(io[sg.terminal()]),

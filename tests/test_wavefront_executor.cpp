@@ -37,7 +37,7 @@ WaveRun run_wavefront(const Graph& g, const Subgraph& sg, const Dims& brick,
   io[sg.terminal()] = backend.register_tensor(
       g.node(sg.terminal()).out_shape, Layout::kBricked, brick, "out");
   WavefrontExecutor exec(g, sg, brick, backend, io);
-  exec.run();
+  EXPECT_TRUE(exec.run_checked().ok());
   WaveRun r;
   r.output = backend.read(io[sg.terminal()]);
   r.stats = exec.stats();
@@ -143,7 +143,7 @@ TEST(WavefrontExecutor, ModelBackendCountsSyncs) {
   io[sg.terminal()] = backend.register_tensor(
       g.node(sg.terminal()).out_shape, Layout::kBricked, Dims{1, 4, 4}, "out");
   WavefrontExecutor exec(g, sg, Dims{1, 4, 4}, backend, io);
-  exec.run();
+  ASSERT_TRUE(exec.run_checked().ok());
   EXPECT_EQ(backend.tally().syncs, exec.stats().waves);
   EXPECT_EQ(backend.tally().invocations, exec.stats().bricks_computed);
   // No atomics in wavefront execution — the barrier replaces them.

@@ -164,7 +164,7 @@ Modeled run_system(const Graph& graph, const std::string& system,
     eopts.partition.strategy = partition_strategy;
     eopts.partition.calibration = calibration;
     Engine engine(graph, eopts);
-    engine.run(backend);
+    engine.run_checked(backend).status().throw_if_error();
   } else {
     const FusionRules rules = system == "torchscript"
                                   ? FusionRules::kConvPointwise

@@ -88,10 +88,12 @@ if run_stage asan; then
         -L 'differential|resilience|obs|perf|serve|pipeline|partition|plan_cache|sim' \
         -E 'obs_smoke|plan_cache_smoke'
   # From the main suite: the window-copy property tests (the row-wise gather
-  # and scatter copies clip and zero-fill against tensor and brick bounds)
-  # and the activation-lifetime tests (runs over poisoned recycled storage).
+  # and scatter copies clip and zero-fill against tensor and brick bounds),
+  # the activation-lifetime tests (runs over poisoned recycled storage, and
+  # the segment runner discarding a failed chain's outputs) and the engine
+  # report tests (per-segment counter deltas).
   ctest --test-dir "$SRC_DIR/build-asan" --output-on-failure --timeout 600 \
-        -R '^(WindowCopy|ActivationLifetime)\.'
+        -R '^(WindowCopy|ActivationLifetime|EngineReports)\.'
 fi
 
 if run_stage release; then
