@@ -43,7 +43,6 @@ int run() {
       switch (report.plan.strategy) {
         case Strategy::kPadded: ++row.padded; break;
         case Strategy::kMemoized: ++row.memoized; break;
-        case Strategy::kWavefront: break;  // never picked by the Δ rule
         case Strategy::kVendor: ++row.vendor; break;
       }
     }

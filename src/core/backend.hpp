@@ -93,8 +93,6 @@ class Backend {
   virtual void count_atomics(i64 compulsory, i64 conflict) = 0;
   virtual void tally_defer(i64 n) = 0;
   virtual void tally_reduce(i64 bricks) = 0;
-  /// A device-wide synchronization point (wavefront barriers).
-  virtual void tally_sync(i64 n) = 0;
   /// The tensor is dead; the model drops its cached lines without writeback.
   virtual void discard_tensor(TensorId id) = 0;
   /// The tensor's last consumer has finished (DESIGN.md §9.7): a backend may
@@ -149,7 +147,6 @@ class NumericBackend final : public Backend {
   void count_atomics(i64, i64) override {}
   void tally_defer(i64) override {}
   void tally_reduce(i64) override {}
-  void tally_sync(i64) override {}
   /// Both return the tensor's storage to the free list; the id must not be
   /// used again. Releasing a released tensor is a no-op.
   void discard_tensor(TensorId id) override { release_tensor(id); }
@@ -224,7 +221,6 @@ class ModelBackend final : public Backend {
   void count_atomics(i64 compulsory, i64 conflict) override;
   void tally_defer(i64 n) override;
   void tally_reduce(i64 bricks) override;
-  void tally_sync(i64 n) override;
   void discard_tensor(TensorId id) override;
   /// Re-allocate the worker's simulator-L1 metadata from the calling thread
   /// (first-touch); a no-op once the L1 holds live lines.

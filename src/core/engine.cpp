@@ -11,7 +11,6 @@
 
 #include "core/halo_plan.hpp"
 #include "core/plan_cache.hpp"
-#include "core/wavefront_executor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -26,8 +25,6 @@ std::vector<Strategy> fallback_chain(Strategy planned, bool graceful) {
   switch (planned) {
     case Strategy::kMemoized:
       return {Strategy::kMemoized, Strategy::kPadded, Strategy::kVendor};
-    case Strategy::kWavefront:
-      return {Strategy::kWavefront, Strategy::kPadded, Strategy::kVendor};
     case Strategy::kPadded:
       return {Strategy::kPadded, Strategy::kVendor};
     case Strategy::kVendor:
@@ -231,13 +228,7 @@ Engine::Engine(const Graph& graph, EngineOptions options)
       }
       if (options_.force_strategy &&
           planned.strategy != Strategy::kVendor) {
-        // Wavefront needs a spatial dimension to skew along; rank-1 blocked
-        // terminals (e.g. a post-classifier softmax) keep their planned
-        // strategy instead.
-        if (*options_.force_strategy != Strategy::kWavefront ||
-            planned.brick_extent.rank() >= 2) {
-          planned.strategy = *options_.force_strategy;
-        }
+        planned.strategy = *options_.force_strategy;
       }
     }
   }
@@ -433,11 +424,6 @@ Status run_planned_subgraph_checked(
       case Strategy::kMemoized:
         return run_memoized(graph, {{&sg, planned.brick_extent}}, backend,
                             full_io, options, pool, stats_out);
-      case Strategy::kWavefront: {
-        WavefrontExecutor exec(graph, sg, planned.brick_extent, backend,
-                               full_io);
-        return exec.run_checked();
-      }
       case Strategy::kVendor: {
         // Per-layer tiled vendor calls; interiors materialize canonically
         // and are released after their last in-subgraph consumer.

@@ -364,8 +364,6 @@ void ModelBackend::tally_defer(i64 n) { tally_.defers += n; }
 
 void ModelBackend::tally_reduce(i64 bricks) { tally_.bricks_reduced += bricks; }
 
-void ModelBackend::tally_sync(i64 n) { tally_.syncs += n; }
-
 void ModelBackend::discard_tensor(TensorId id) {
   BDL_CHECK(id >= 0 && id < static_cast<TensorId>(buffers_.size()));
   const Buffer& buf = buffers_[static_cast<size_t>(id)];

@@ -20,7 +20,6 @@ const char* strategy_name(Strategy s) {
   switch (s) {
     case Strategy::kPadded: return "padded";
     case Strategy::kMemoized: return "memoized";
-    case Strategy::kWavefront: return "wavefront";
     case Strategy::kVendor: return "vendor";
   }
   return "?";
@@ -113,7 +112,6 @@ double subgraph_base_time(const Graph& graph, const Subgraph& sg,
 struct MergedOverheads {
   double padded = 0.0;
   double memoized = 0.0;
-  double wavefront = 0.0;
 };
 
 MergedOverheads merged_overheads(const Graph& graph, const Subgraph& sg,
@@ -130,18 +128,6 @@ MergedOverheads merged_overheads(const Graph& graph, const Subgraph& sg,
                  static_cast<double>(sg.nodes.size()) * m.t_launch;
   o.memoized =
       static_cast<double>(layer_bricks) * (m.t_launch + 2.0 * m.t_atomic);
-  // Wavefront: same launches as memoized, no atomics, one barrier per wave
-  // (waves ~ skew*layers + terminal rows; skew ~ 2 for unit-halo chains).
-  if (brick_extent.rank() >= 2) {
-    const Dims bounds = graph.node(sg.terminal()).out_shape.blocked_dims();
-    const double rows =
-        static_cast<double>(ceil_div(bounds[1], brick_extent[1]));
-    const double waves = 2.0 * static_cast<double>(sg.nodes.size()) + rows;
-    o.wavefront = static_cast<double>(layer_bricks) * m.t_launch +
-                  waves * m.t_wave_sync;
-  } else {
-    o.wavefront = std::numeric_limits<double>::infinity();
-  }
   return o;
 }
 
@@ -213,10 +199,6 @@ PlannedSubgraph plan_subgraph(const Graph& graph, Subgraph sg,
         strategy = Strategy::kMemoized;
         cost = o.memoized;
       }
-      if (options.enable_wavefront && o.wavefront < cost) {
-        strategy = Strategy::kWavefront;
-        cost = o.wavefront;
-      }
       if (cost < best_cost) {
         best_cost = cost;
         planned.brick_side = b;
@@ -244,8 +226,7 @@ PlannedSubgraph plan_subgraph(const Graph& graph, Subgraph sg,
     const HaloPlan chosen_plan(graph, sg, extent);
     const MergedOverheads o =
         merged_overheads(graph, sg, chosen_plan, extent, options);
-    double cheapest = std::min(o.padded, o.memoized);
-    if (options.enable_wavefront) cheapest = std::min(cheapest, o.wavefront);
+    const double cheapest = std::min(o.padded, o.memoized);
     if (cheapest > dram_saved && sg.nodes.size() > 1) {
       sg.merged = false;
       planned.sg = std::move(sg);

@@ -38,9 +38,6 @@ namespace brickdl {
 enum class Strategy {
   kPadded,
   kMemoized,
-  /// §6 extension: skewed-wave execution — exact bricks, no atomics, one
-  /// device-wide barrier per wave (see core/wavefront_executor.hpp).
-  kWavefront,
   kVendor,
 };
 
@@ -67,10 +64,6 @@ struct PartitionOptions {
   /// strategies with the machine cost model; setting this false reproduces
   /// the literal §3.3.2–3.3.3 rules.
   bool cost_aware = true;
-  /// Allow the cost model to select the §6 wavefront extension strategy.
-  /// Off by default so the default engine matches the paper's two-strategy
-  /// system; benches and tests opt in.
-  bool enable_wavefront = false;
   MachineParams machine;
   /// Fitted cost-model constants (obs/calibrate.hpp, DESIGN.md §15). When
   /// set, every §4 costing decision made under these options — brick-size

@@ -42,8 +42,8 @@ std::string fmt_double(double v) {
 }
 
 bool parse_strategy(const std::string& name, Strategy* out) {
-  for (Strategy s : {Strategy::kPadded, Strategy::kMemoized,
-                     Strategy::kWavefront, Strategy::kVendor}) {
+  for (Strategy s :
+       {Strategy::kPadded, Strategy::kMemoized, Strategy::kVendor}) {
     if (name == strategy_name(s)) {
       *out = s;
       return true;
@@ -138,7 +138,7 @@ std::string plan_options_fingerprint(const EngineOptions& options) {
      << ";max_layers=" << p.max_layers
      << ";modeled_workers=" << p.modeled_workers
      << ";tau=" << p.brick_model.tau << ";cost_aware=" << p.cost_aware
-     << ";wavefront=" << p.enable_wavefront << ";force_strategy="
+     << ";force_strategy="
      << (options.force_strategy ? strategy_name(*options.force_strategy)
                                 : "none")
      << ";force_brick_side=" << options.force_brick_side

@@ -3,7 +3,7 @@
 // Naming scheme: dotted lowercase `<subsystem>.<metric>` — e.g.
 // `memo.reclaims`, `engine.subgraphs`, `partition.merged`. The executors'
 // formerly ad-hoc counters (MemoizedExecutor reclaims/stolen_bricks/
-// stalled_workers/..., padded brick counts, wavefront waves) publish here so
+// stalled_workers/..., padded brick counts) publish here so
 // every run — engine, bench harness, or direct executor call — lands on one
 // queryable surface.
 //

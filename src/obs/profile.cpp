@@ -12,7 +12,7 @@ namespace {
 
 constexpr i64 kFloatBytes = static_cast<i64>(sizeof(float));
 
-/// Per-layer brick grids exactly as the exact-brick executors build them:
+/// Per-layer brick grids exactly as the memoized executor builds them:
 /// the subgraph's shared brick extent, clipped per dim to each layer's
 /// blocked bounds.
 std::vector<BrickGrid> clipped_grids(const Graph& graph, const Subgraph& sg,
@@ -209,23 +209,6 @@ SubgraphPrediction predict_subgraph(const Graph& graph,
       }
       p.invocations = p.bricks;
       p.compulsory_atomics = 2 * p.bricks;
-      break;
-    }
-    case Strategy::kWavefront: {
-      // Exact bricks, every brick of every layer, no atomics. The wave count
-      // (and its barrier cost) depends on the skew choice and is not
-      // predicted here.
-      for (size_t t = 0; t < grids.size(); ++t) {
-        const BrickGrid& grid = grids[t];
-        p.bricks += grid.num_bricks();
-        for (i64 b = 0; b < grid.num_bricks(); ++b) {
-          add_flops(graph, sg.nodes[t],
-                    static_cast<double>(
-                        grid.valid_extent(grid.grid.unlinear(b)).product()),
-                    &p);
-        }
-      }
-      p.invocations = p.bricks;
       break;
     }
     case Strategy::kVendor:

@@ -9,18 +9,17 @@
 // simulator counters and wall-clock times.
 //
 // What is exact and what is approximate:
-//  * invocations — exact for padded (terminal bricks × layers), memoized
-//    (reachable bricks; the executor's exactly-once invariant), and
-//    wavefront (every brick of every layer);
+//  * invocations — exact for padded (terminal bricks × layers) and
+//    memoized (reachable bricks; the executor's exactly-once invariant);
 //  * compulsory atomics — exact for a fault-free memoized run (2 per brick:
 //    claim + publish election);
 //  * flops — exact: padded sums the halo-expanded window volumes the
-//    HaloPlan schedules, the exact-brick strategies sum valid extents;
+//    HaloPlan schedules, memoized sums valid extents;
 //  * DRAM bytes — compulsory traffic only (inputs and weights streamed once,
 //    terminal written once); observed traffic adds capacity misses, so the
 //    golden tests compare within a stated tolerance;
-//  * conflict atomics, defers, wave-sync count — schedule-dependent, not
-//    predicted (reported as zero).
+//  * conflict atomics, defers — schedule-dependent, not predicted (reported
+//    as zero).
 #pragma once
 
 #include "core/partitioner.hpp"

@@ -24,7 +24,6 @@ struct ComputeTally {
   double tc_flops = 0.0;
   i64 defers = 0;        ///< memoized-bricks revisits of busy bricks
   i64 bricks_reduced = 0;  ///< bricks passing through end-of-subgraph reduce
-  i64 syncs = 0;           ///< device-wide barriers (wavefront execution)
 
   ComputeTally& operator+=(const ComputeTally& o) {
     invocations += o.invocations;
@@ -32,7 +31,6 @@ struct ComputeTally {
     tc_flops += o.tc_flops;
     defers += o.defers;
     bricks_reduced += o.bricks_reduced;
-    syncs += o.syncs;
     return *this;
   }
   ComputeTally operator-(const ComputeTally& o) const {
@@ -42,7 +40,6 @@ struct ComputeTally {
     d.tc_flops = tc_flops - o.tc_flops;
     d.defers = defers - o.defers;
     d.bricks_reduced = bricks_reduced - o.bricks_reduced;
-    d.syncs = syncs - o.syncs;
     return d;
   }
 };
@@ -91,8 +88,7 @@ class CostModel {
   /// Scheduling/recursion/reduction overhead — the "Other" bar.
   double other_time(const ComputeTally& tally) const {
     return static_cast<double>(tally.defers) * params_.t_defer +
-           static_cast<double>(tally.bricks_reduced) * params_.t_reduce_per_brick +
-           static_cast<double>(tally.syncs) * params_.t_wave_sync;
+           static_cast<double>(tally.bricks_reduced) * params_.t_reduce_per_brick;
   }
 
   /// Time to compute one brick of `flops` floating point operations — the

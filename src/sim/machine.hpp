@@ -40,7 +40,6 @@ struct MachineParams {
   double tensor_core_flops_per_second = 50e12;
   double t_defer = 60e-9;                 ///< revisit bookkeeping, memoized
   double t_reduce_per_brick = 25e-9;      ///< end-of-subgraph reduction
-  double t_wave_sync = 2e-6;              ///< device-wide wavefront barrier
 
   /// Transactions per second at full bandwidth (the paper's R_txn; the text
   /// prints "46M" but 1.5 TB/s / 32 B = 46.875 G txn/s — see DESIGN.md).

@@ -200,14 +200,6 @@ struct DiffRun {
             engine_variant("padded" + b + "-par" + p, eo, 4);
           }
         }
-        {
-          EngineOptions eo;
-          eo.partition.strategy = partitioner;
-          eo.partition.enable_wavefront = true;
-          eo.force_strategy = Strategy::kWavefront;
-          eo.force_brick_side = side;
-          engine_variant("wavefront" + b + p, eo, 4);
-        }
         for (int workers : o.worker_counts) {
           const std::string w = "-w" + std::to_string(workers);
           // The plain memo variants pin the barriered schedule; their

@@ -63,28 +63,6 @@ TEST(Engine, ConvChainForcedMemoized) {
   check_forced_strategy(Strategy::kMemoized);
 }
 
-TEST(Engine, ConvChainForcedWavefront) {
-  check_forced_strategy(Strategy::kWavefront);
-}
-
-TEST(Engine, WavefrontEnabledCostModel) {
-  // With the extension enabled, the cost model may pick wavefront; whatever
-  // mix it chooses must still match the reference numerics.
-  EngineOptions options;
-  options.partition.enable_wavefront = true;
-  check_engine_matches_reference(build_conv_chain_2d(4, 1, 20, 3), options);
-
-  ModelConfig config;
-  config.batch = 1;
-  config.spatial = 32;
-  config.width_div = 16;
-  config.classes = 8;
-  for (const auto& [name, builder] : model_zoo()) {
-    SCOPED_TRACE(name);
-    check_engine_matches_reference(builder(config), options);
-  }
-}
-
 TEST(Engine, ForcedBrickSide) {
   EngineOptions options;
   options.force_brick_side = 8;
@@ -147,9 +125,9 @@ TEST(Engine, ModelBackendCollectsReports) {
 
 /// Run `g` on a ModelBackend, barriered and pipelined, and check that the
 /// reports' tally deltas sum to the run total field by field: every kernel
-/// launch, flop and barrier is charged to exactly one report.
+/// launch, flop and reduction is charged to exactly one report.
 void check_tally_sums_to_total(const Graph& g, EngineOptions options,
-                               bool expect_chain, bool expect_syncs) {
+                               bool expect_chain) {
   for (bool pipeline : {false, true}) {
     SCOPED_TRACE(pipeline ? "pipelined" : "barriered");
     options.pipeline_subgraphs = pipeline;
@@ -172,8 +150,6 @@ void check_tally_sums_to_total(const Graph& g, EngineOptions options,
     EXPECT_DOUBLE_EQ(sum.tc_flops, total.tc_flops);
     EXPECT_EQ(sum.defers, total.defers);
     EXPECT_EQ(sum.bricks_reduced, total.bricks_reduced);
-    EXPECT_EQ(sum.syncs, total.syncs);
-    EXPECT_EQ(total.syncs > 0, expect_syncs);
   }
 }
 
@@ -184,14 +160,15 @@ TEST(EngineReports, TallySumsToRunTotal) {
     options.partition.max_layers = 2;
     options.force_strategy = Strategy::kMemoized;
     check_tally_sums_to_total(build_conv_chain_2d(6, 1, 32, 8), options,
-                              /*expect_chain=*/true, /*expect_syncs=*/false);
+                              /*expect_chain=*/true);
   }
   {
-    SCOPED_TRACE("forced wavefront");
+    // One padded member per segment: the barriered per-report path.
+    SCOPED_TRACE("forced padded");
     EngineOptions options;
-    options.force_strategy = Strategy::kWavefront;
+    options.force_strategy = Strategy::kPadded;
     check_tally_sums_to_total(build_conv_chain_2d(4, 1, 36, 4), options,
-                              /*expect_chain=*/false, /*expect_syncs=*/true);
+                              /*expect_chain=*/false);
   }
 }
 

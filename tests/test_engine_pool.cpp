@@ -64,7 +64,6 @@ class CountingBackend final : public Backend {
   void count_atomics(i64, i64) override {}
   void tally_defer(i64) override {}
   void tally_reduce(i64) override {}
-  void tally_sync(i64) override {}
   void discard_tensor(TensorId) override {}
 
   NumericBackend inner;

@@ -1,9 +1,10 @@
 // Persistent plan cache suite (DESIGN.md §15, CTest label `plan_cache`).
 //
 // Cold/warm engine parity (a warm-started engine must produce bit-identical
-// output from the persisted plan), cache-poisoning rejection (truncation,
-// wrong schema, a signature that does not match the graph in hand — all
-// named-status rejects with cold fallback, never a crash), key separation
+// output from the persisted plan), cache-poisoning rejection (truncation, a
+// strategy this build does not know, wrong schema, a signature that does not
+// match the graph in hand — all named-status rejects with cold fallback,
+// never a crash), key separation
 // (different planning options miss rather than reject; calibrated vs
 // uncalibrated processes never share entries), and concurrent warm-start
 // readers racing a writer (TSan-meaningful: the atomic tmp+rename publish is
@@ -163,32 +164,56 @@ TEST(PlanCache, MissOnEmptyDirectory) {
 
 // ------------------------------------------------------- Cache poisoning
 
+/// `text` (a stored entry) with its first subgraph's strategy renamed.
+std::string with_first_strategy(std::string text, const std::string& name) {
+  const std::string key = "\"strategy\": \"";
+  const size_t at = text.find(key);
+  EXPECT_NE(at, std::string::npos);
+  if (at == std::string::npos) return text;
+  const size_t begin = at + key.size();
+  return text.replace(begin, text.find('"', begin) - begin, name);
+}
+
 TEST(PlanCache, TruncatedEntryRejectsAndEngineFallsBackCold) {
-  obs::metrics().reset();
-  TempCacheDir dir;
-  const Graph graph = test_graph();
-  EngineOptions eo;
-  eo.plan_cache_dir = dir.str();
-  PlanCache cache(dir.str());
-  ASSERT_TRUE(cache.store(graph, eo, entry_for(graph, eo)).ok());
+  // Two poisoned files at the entry's key: a half-written entry, and a
+  // complete entry from an older build whose plan names a strategy this
+  // build no longer has ("wavefront").
+  for (const bool stale : {false, true}) {
+    SCOPED_TRACE(stale ? "stale strategy" : "truncated");
+    obs::metrics().reset();
+    TempCacheDir dir;
+    const Graph graph = test_graph();
+    EngineOptions eo;
+    eo.plan_cache_dir = dir.str();
+    PlanCache cache(dir.str());
+    ASSERT_TRUE(cache.store(graph, eo, entry_for(graph, eo)).ok());
 
-  const std::string path = cache.entry_path(graph, eo);
-  const std::string full = read_text(path);
-  ASSERT_GT(full.size(), 40u);
-  write_text(path, full.substr(0, full.size() / 2));
+    const std::string path = cache.entry_path(graph, eo);
+    const std::string full = read_text(path);
+    ASSERT_GT(full.size(), 40u);
+    write_text(path, stale ? with_first_strategy(full, "wavefront")
+                           : full.substr(0, full.size() / 2));
 
-  const PlanCacheLookup lookup = cache.load(graph, eo);
-  EXPECT_EQ(lookup.outcome, PlanCacheLookup::Outcome::kReject);
-  EXPECT_FALSE(lookup.reject_reason.ok());
+    const PlanCacheLookup lookup = cache.load(graph, eo);
+    EXPECT_EQ(lookup.outcome, PlanCacheLookup::Outcome::kReject);
+    EXPECT_FALSE(lookup.reject_reason.ok());
+    if (stale) {
+      EXPECT_EQ(lookup.reject_reason.code(), StatusCode::kInvalidGraph);
+      EXPECT_NE(lookup.reject_reason.message().find(
+                    "unknown strategy 'wavefront'"),
+                std::string::npos)
+          << lookup.reject_reason.to_string();
+    }
 
-  // The engine treats the poisoned entry as a counted reject and plans cold
-  // — never a crash, never a construction failure.
-  Engine engine(graph, eo);
-  EXPECT_EQ(obs::metrics().counter("engine.plan_cache.rejects").value(), 1);
-  EXPECT_EQ(obs::metrics().counter("engine.plan_cache.hits").value(), 0);
-  // The cold plan overwrites the poison; the next lookup hits again.
-  EXPECT_EQ(obs::metrics().counter("engine.plan_cache.writes").value(), 1);
-  EXPECT_EQ(cache.load(graph, eo).outcome, PlanCacheLookup::Outcome::kHit);
+    // The engine treats the poisoned entry as a counted reject and plans
+    // cold — never a crash, never a construction failure.
+    Engine engine(graph, eo);
+    EXPECT_EQ(obs::metrics().counter("engine.plan_cache.rejects").value(), 1);
+    EXPECT_EQ(obs::metrics().counter("engine.plan_cache.hits").value(), 0);
+    // The cold plan overwrites the poison; the next lookup hits again.
+    EXPECT_EQ(obs::metrics().counter("engine.plan_cache.writes").value(), 1);
+    EXPECT_EQ(cache.load(graph, eo).outcome, PlanCacheLookup::Outcome::kHit);
+  }
 }
 
 TEST(PlanCache, WrongSchemaIsNamedUnknownSchemaReject) {

@@ -5,15 +5,20 @@
 //    transaction counters field for field. Every modeled figure is a
 //    function of these counters, so any change to the simulator, the
 //    executors' emission order or the planner that moves a single
-//    transaction fails here.
+//    transaction fails here. The `fig08_resnet50_subgraphs --quick`
+//    subgraphs, each run alone as vendor, padded and memoized, are pinned
+//    the same way.
 //  * MemSimShards: seeded randomized streams on the sharded L2 geometries
 //    (the A100's 16-bit tags and a 20 MB L2's 32-bit tags) compared after
 //    every step, and at random points mid-step, against an in-test
 //    single-threaded reference built from plain CacheModels.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "graph/rewrite.hpp"
@@ -77,6 +82,97 @@ TEST(SimGolden, Fig07QuickDarkNet53) {
   expect_counters(
       fig07_quick_counters(build_darknet53(quick_config(16, 224, 4)), 6),
       want);
+}
+
+/// One run of `fig08_resnet50_subgraphs`' per-subgraph comparison: `plan`
+/// re-planned at its brick side with `strategy` forced (vendor keeps the
+/// plan), run alone on a fresh A100 simulator with cold io tensors.
+struct SubgraphCounters {
+  TxnCounters txns;
+  i64 invocations = 0;
+};
+
+SubgraphCounters fig08_subgraph_counters(const Graph& graph,
+                                         const PlannedSubgraph& plan,
+                                         Strategy strategy,
+                                         const EngineOptions& options) {
+  PlannedSubgraph run =
+      strategy == Strategy::kVendor
+          ? plan
+          : plan_subgraph(graph, plan.sg, options.partition, plan.brick_side);
+  run.strategy = strategy;
+  MemoryHierarchySim sim(MachineParams::a100());
+  ModelBackend backend(graph, sim);
+  std::unordered_map<int, TensorId> io;
+  for (int ext : run.sg.external_inputs) {
+    io[ext] = backend.register_tensor(graph.node(ext).out_shape,
+                                      Layout::kCanonical, {}, "ext");
+  }
+  const Node& terminal = graph.node(run.sg.terminal());
+  const bool merged = strategy != Strategy::kVendor;
+  const TensorId out = backend.register_tensor(
+      terminal.out_shape, merged ? Layout::kBricked : Layout::kCanonical,
+      merged ? run.brick_extent : Dims{}, "out");
+  const Status status =
+      run_planned_subgraph_checked(graph, run, backend, io, out, options);
+  EXPECT_TRUE(status.ok()) << status.to_string();
+  sim.flush();
+  return {sim.counters(), backend.tally().invocations};
+}
+
+/// `fig08_resnet50_subgraphs --quick`: every merged subgraph of the default
+/// plan, each run as cuDNN-tiled vendor, padded and memoized bricks. Rows
+/// hold {l1, l2, dram_read, dram_write, atomics_compulsory,
+/// atomics_conflict, invocations}.
+TEST(SimGolden, Fig08QuickResNet50Subgraphs) {
+  constexpr i64 kWant[6][3][7] = {
+      {{2203808, 2203808, 407846, 903168, 0, 0, 576},
+       {2422156, 2422156, 301350, 100352, 0, 0, 294},
+       {2773072, 2773072, 309542, 100352, 1764, 300, 882}},
+      {{3883520, 3883520, 126045, 2007040, 0, 0, 512},
+       {4290688, 4290688, 100928, 401408, 0, 0, 784},
+       {4100224, 4100224, 137011, 1000010, 1568, 138, 784}},
+      {{3680768, 3680768, 422570, 1605632, 0, 0, 448},
+       {4778048, 4778048, 401952, 401408, 0, 0, 686},
+       {3896384, 3896384, 506655, 826800, 1372, 120, 686}},
+      {{3680768, 3680768, 422570, 1605632, 0, 0, 448},
+       {4778048, 4778048, 401952, 401408, 0, 0, 686},
+       {3896384, 3896384, 506655, 826800, 1372, 120, 686}},
+      {{2244608, 2012576, 434688, 652288, 0, 0, 128},
+       {2806272, 2806272, 253440, 114688, 0, 0, 512},
+       {3311616, 3125248, 404992, 114688, 1552, 112, 776}},
+      {{3200, 642, 30, 15, 0, 0, 16},
+       {950, 454, 215, 200, 0, 0, 4},
+       {950, 454, 215, 200, 8, 12, 4}},
+  };
+  const Graph graph = build_resnet50(quick_config(16, 224, 4));
+  const EngineOptions options;
+  const Partition partition = partition_graph(graph, options.partition);
+  std::vector<const PlannedSubgraph*> merged;
+  for (const PlannedSubgraph& planned : partition.subgraphs) {
+    if (planned.strategy != Strategy::kVendor) merged.push_back(&planned);
+  }
+  ASSERT_EQ(merged.size(), std::size(kWant));
+  const Strategy kVariants[] = {Strategy::kVendor, Strategy::kPadded,
+                                Strategy::kMemoized};
+  for (size_t i = 0; i < merged.size(); ++i) {
+    for (size_t v = 0; v < std::size(kVariants); ++v) {
+      SCOPED_TRACE("subgraph " + std::to_string(i + 1) + " " +
+                   strategy_name(kVariants[v]));
+      const SubgraphCounters got =
+          fig08_subgraph_counters(graph, *merged[i], kVariants[v], options);
+      const i64* w = kWant[i][v];
+      TxnCounters want;
+      want.l1 = w[0];
+      want.l2 = w[1];
+      want.dram_read = w[2];
+      want.dram_write = w[3];
+      want.atomics_compulsory = w[4];
+      want.atomics_conflict = w[5];
+      expect_counters(got.txns, want);
+      EXPECT_EQ(got.invocations, w[6]);
+    }
+  }
 }
 
 /// The serial memory hierarchy spelled out from plain CacheModels: one L1

@@ -40,7 +40,7 @@
 //     --overload M      open-loop overload at M x capacity
 //     --duration-ms N   overload run length                    (default 1000)
 //     --drain-ms N      shutdown drain deadline in overload mode (default 500)
-//     --strategy S      padded | memoized | wavefront  (default: engine picks)
+//     --strategy S      padded | memoized  (default: engine picks)
 //     --workers N       backend workers per run                (default 4)
 //     --seed N          base seed for weights + demo inputs    (default 42)
 //     --fast            ignore trace offsets; submit as fast as possible
@@ -126,7 +126,7 @@ int usage() {
                "  [--queue-depth N] [--deadline-us N]\n"
                "  [--breaker-k N] [--breaker-cooldown N]\n"
                "  [--duration-ms N] [--drain-ms N]\n"
-               "  [--strategy padded|memoized|wavefront] [--workers N]\n"
+               "  [--strategy padded|memoized] [--workers N]\n"
                "  [--seed N] [--fast] [--trace[=serve_trace.json]]\n"
                "  [--events[=serve_events.json]] [--metrics-out FILE]\n"
                "  [--prom FILE] [--flight-dir DIR] [--json FILE]\n"
@@ -571,8 +571,6 @@ int main(int argc, char** argv) {
         opts.serve.engine.force_strategy = Strategy::kPadded;
       } else if (std::strcmp(s, "memoized") == 0) {
         opts.serve.engine.force_strategy = Strategy::kMemoized;
-      } else if (std::strcmp(s, "wavefront") == 0) {
-        opts.serve.engine.force_strategy = Strategy::kWavefront;
       } else {
         return usage();
       }
