@@ -66,9 +66,6 @@ int run(bool quick) {
            static_cast<double>(txns->dram()) / static_cast<double>(c.dram()),
            'D'}};
       bars.push_back(bar);
-      if (variant[0] == 'p' || txns->dram() < cmp.padded.txns.dram()) {
-        // track the best DRAM reduction across subgraphs
-      }
       if (c.dram() - txns->dram() > dram_saved_best) {
         dram_saved_best = c.dram() - txns->dram();
         dram_base_best = c.dram();

@@ -44,17 +44,6 @@ NumericBackend::NumericBackend(const Graph& graph, WeightStore& weights,
   for (int w = 0; w < workers; ++w) arenas_.emplace_back();
 }
 
-void NumericBackend::warm_worker(int worker) {
-  BDL_CHECK(worker >= 0 && worker < workers_);
-  Arena& arena = arenas_[static_cast<size_t>(worker)];
-  if (arena.floats_reserved() == 0) {
-    // make_unique<float[]> value-initializes, so the slab's pages are
-    // committed by this thread — which is the NUMA first-touch.
-    arena.alloc(1);
-    arena.reset();
-  }
-}
-
 void NumericBackend::invocation_begin(int worker) {
   BDL_CHECK(worker >= 0 && worker < workers_);
   // All of the previous invocation's slots are dead by contract (a brick's

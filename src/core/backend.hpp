@@ -99,12 +99,6 @@ class Backend {
   /// recycle its storage. Not a device event — the model keeps its lines.
   virtual void release_tensor(TensorId /*id*/) {}
 
-  /// NUMA first-touch hook (util/numa.hpp): called from the pool thread that
-  /// will drive `worker` so the worker's private state (bump arena, simulator
-  /// L1 metadata) is faulted in on that thread's node. Best-effort no-op by
-  /// default and on single-node hosts.
-  virtual void warm_worker(int /*worker*/) {}
-
  protected:
   const Graph& graph_;
 };
@@ -151,10 +145,6 @@ class NumericBackend final : public Backend {
   /// used again. Releasing a released tensor is a no-op.
   void discard_tensor(TensorId id) override { release_tensor(id); }
   void release_tensor(TensorId id) override;
-  /// First-touch the worker's bump arena from the calling thread: the
-  /// initial slab is allocated (and zero-initialized, which commits its
-  /// pages) here instead of lazily inside the first brick.
-  void warm_worker(int worker) override;
 
   /// Copy `data` into a registered tensor (canonical layout input).
   void bind(TensorId id, const Tensor& data);
@@ -222,9 +212,6 @@ class ModelBackend final : public Backend {
   void tally_defer(i64 n) override;
   void tally_reduce(i64 bricks) override;
   void discard_tensor(TensorId id) override;
-  /// Re-allocate the worker's simulator-L1 metadata from the calling thread
-  /// (first-touch); a no-op once the L1 holds live lines.
-  void warm_worker(int worker) override;
 
   MemoryHierarchySim& sim() { return sim_; }
   const ComputeTally& tally() const { return tally_; }

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 
 #include "core/halo_plan.hpp"
@@ -33,42 +31,17 @@ std::vector<Strategy> fallback_chain(Strategy planned, bool graceful) {
   return {planned};
 }
 
-/// NUMA warm-up: have every pool worker first-touch its own backend state
-/// (bump arena pages, simulator L1 metadata) from its own — pinned — thread.
-/// The rendezvous forces all `size()` workers to participate, so worker w is
-/// always warmed by worker w's thread rather than by whichever thread drains
-/// the queue fastest.
-void warm_pool(ThreadPool& pool, Backend& backend) {
-  const int n = pool.size();
-  std::mutex mu;
-  std::condition_variable cv;
-  int arrived = 0;
-  for (int i = 0; i < n; ++i) {
-    pool.submit([&, n](int worker) {
-      backend.warm_worker(worker);
-      std::unique_lock<std::mutex> lock(mu);
-      if (++arrived == n) {
-        cv.notify_all();
-      } else {
-        cv.wait(lock, [&] { return arrived == n; });
-      }
-    });
-  }
-  pool.wait_idle();
-}
-
 /// Build the pool one run (or one standalone subgraph call) executes on:
-/// min(memo_workers, backend workers) threads with `memo_parallel`,
-/// NUMA-warmed once when `numa_pin` is set; null without `memo_parallel`.
-/// The only place the engine creates threads; kInternal if it cannot.
+/// min(memo_workers, backend workers) threads with `memo_parallel`, null
+/// without it. The only place the engine creates threads; kInternal if it
+/// cannot.
 Status make_run_pool(const EngineOptions& options, Backend& backend,
                      std::unique_ptr<ThreadPool>* pool) {
   pool->reset();
   if (!options.memo_parallel) return Status();
   const int workers = std::min(options.memo_workers, backend.num_workers());
   try {
-    *pool = std::make_unique<ThreadPool>(workers, options.numa_pin);
-    if (options.numa_pin) warm_pool(**pool, backend);
+    *pool = std::make_unique<ThreadPool>(workers);
   } catch (const std::exception& e) {
     pool->reset();
     return Status(StatusCode::kInternal,
@@ -151,11 +124,6 @@ Status check_finite(NumericBackend& numeric, TensorId id,
 }  // namespace
 
 Status validate_engine_options(const EngineOptions& options) {
-  if (!known_partition_strategy(options.partition.strategy)) {
-    return Status(StatusCode::kInvalidOptions,
-                  "unknown partition strategy '" + options.partition.strategy +
-                      "' (expected \"paper\" or \"greedy\")");
-  }
   if (options.memo_workers < 1) {
     return Status(StatusCode::kInvalidOptions,
                   "memo_workers must be >= 1, got " +

@@ -59,10 +59,6 @@ struct EngineOptions {
   /// strict barriered schedule (also implied by `profile`, whose per-subgraph
   /// counter attribution needs the barrier).
   bool pipeline_subgraphs = true;
-  /// Pin pool workers round-robin across NUMA nodes and first-touch each
-  /// worker's bump arena / simulator L1 from its own thread (util/numa.hpp).
-  /// No-op on single-node machines.
-  bool numa_pin = false;
   /// Persistent plan cache directory (core/plan_cache.hpp, DESIGN.md §15).
   /// Non-empty: the constructor warm-starts the partition from a validated
   /// cache entry keyed by graph signature × rows × options fingerprint, and
@@ -87,8 +83,7 @@ struct EngineOptions {
   bool profile = false;
 };
 
-/// kInvalidOptions unless every knob is in range (partition.strategy a known
-/// name — "paper" or "greedy" — never a silent fallback; memo_workers ≥ 1,
+/// kInvalidOptions unless every knob is in range (memo_workers ≥ 1,
 /// vendor_tile_side > 0, force_brick_side ∈ {0, 4, 8, 16, 32}, watchdog sane).
 Status validate_engine_options(const EngineOptions& options);
 

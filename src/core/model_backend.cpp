@@ -200,8 +200,6 @@ void ModelBackend::invocation_begin(int worker) {
   sim_.invocation_begin(worker);
 }
 
-void ModelBackend::warm_worker(int worker) { sim_.first_touch_l1(worker); }
-
 SlotId ModelBackend::new_slot(int worker) {
   auto& pool = slots_[static_cast<size_t>(worker)];
   for (size_t i = 0; i < pool.size(); ++i) {

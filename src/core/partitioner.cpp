@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <limits>
-#include <map>
 #include <sstream>
-#include <tuple>
 #include <utility>
 
 #include "core/halo_plan.hpp"
@@ -331,63 +328,6 @@ Partition partition_paper(const Graph& graph, const PartitionOptions& options) {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Benefit-driven greedy partitioner (DESIGN.md §11).
-//
-// State: every non-input node starts in its own group; non-mergeable kinds
-// are frozen as vendor singletons. Each round evaluates every quotient-DAG
-// edge between two mergeable groups as a merge candidate — legality is
-// cycle-safety BFS first, then the single-terminal closure invariant, the
-// layer cap, and the footprint budget — and costs survivors with the §4
-// model (obs::predict_subgraph). The pair with the highest positive benefit
-// (summed pair cost minus merged cost) merges; candidate evaluations are
-// cached and only entries touching a merged group are recomputed.
-
-bool merge_creates_cycle(const Graph& graph, const std::vector<int>& group_of,
-                         int ga, int gb) {
-  BDL_CHECK(static_cast<int>(group_of.size()) == graph.num_nodes());
-  BDL_CHECK(ga != gb);
-  // Seed the BFS with ga's quotient successors other than gb; if gb is
-  // reachable from any of them, a path ga → third group → gb exists and the
-  // merged group would both feed and depend on that third group.
-  int max_group = -1;
-  for (int g : group_of) max_group = std::max(max_group, g);
-  std::vector<char> visited(static_cast<size_t>(max_group) + 1, 0);
-  std::vector<int> frontier;
-  for (int n = 0; n < graph.num_nodes(); ++n) {
-    if (group_of[static_cast<size_t>(n)] != ga) continue;
-    for (int c : graph.consumers(n)) {
-      const int h = group_of[static_cast<size_t>(c)];
-      if (h == ga || h == gb || h < 0 || visited[static_cast<size_t>(h)]) {
-        continue;
-      }
-      visited[static_cast<size_t>(h)] = 1;
-      frontier.push_back(h);
-    }
-  }
-  // Successor lists of the quotient DAG, built once per check.
-  std::vector<std::vector<int>> succ(static_cast<size_t>(max_group) + 1);
-  for (int n = 0; n < graph.num_nodes(); ++n) {
-    const int g = group_of[static_cast<size_t>(n)];
-    if (g < 0) continue;
-    for (int c : graph.consumers(n)) {
-      const int h = group_of[static_cast<size_t>(c)];
-      if (h >= 0 && h != g) succ[static_cast<size_t>(g)].push_back(h);
-    }
-  }
-  while (!frontier.empty()) {
-    const int g = frontier.back();
-    frontier.pop_back();
-    for (int h : succ[static_cast<size_t>(g)]) {
-      if (h == gb) return true;
-      if (h == ga || visited[static_cast<size_t>(h)]) continue;
-      visited[static_cast<size_t>(h)] = 1;
-      frontier.push_back(h);
-    }
-  }
-  return false;
-}
-
 double predicted_partition_seconds(const Graph& graph, const Partition& p,
                                    const MachineParams& machine) {
   double total = 0.0;
@@ -395,205 +335,6 @@ double predicted_partition_seconds(const Graph& graph, const Partition& p,
     total += obs::predict_subgraph(graph, planned, machine).seconds;
   }
   return total;
-}
-
-namespace {
-
-/// One live group of the greedy partitioner, with its cached plan and cost.
-struct GreedyGroup {
-  std::vector<int> nodes;  ///< sorted == topological
-  bool mergeable = true;   ///< false: frozen vendor singleton
-  bool alive = true;
-  PlannedSubgraph plan;
-  double cost = 0.0;  ///< predicted seconds of `plan`
-};
-
-/// A cached merge-candidate evaluation for one quotient edge.
-struct MergeEval {
-  bool legal = false;
-  PlannedSubgraph plan;
-  double cost = 0.0;
-};
-
-Partition partition_greedy(const Graph& graph,
-                           const PartitionOptions& options) {
-  auto& m = obs::metrics();
-  obs::Counter& cost_calls = m.counter("partition.greedy.cost_model_calls");
-
-  const auto plan_and_cost = [&](std::vector<int> nodes) {
-    PlannedSubgraph plan =
-        plan_subgraph(graph, make_subgraph(graph, std::move(nodes)), options);
-    cost_calls.add(1);
-    const double cost =
-        obs::predict_subgraph(graph, plan, options.machine).seconds;
-    return std::make_pair(std::move(plan), cost);
-  };
-
-  // One group per non-input node. Frozen vendor singletons for kinds the
-  // merged executors cannot run keep the paper partitioner's behavior.
-  std::vector<GreedyGroup> groups;
-  std::vector<int> group_of(static_cast<size_t>(graph.num_nodes()), -1);
-  for (const Node& node : graph.nodes()) {
-    if (node.kind == OpKind::kInput) continue;
-    group_of[static_cast<size_t>(node.id)] = static_cast<int>(groups.size());
-    GreedyGroup grp;
-    grp.nodes = {node.id};
-    grp.mergeable = is_mergeable(node.kind);
-    if (grp.mergeable) {
-      std::tie(grp.plan, grp.cost) = plan_and_cost(grp.nodes);
-    } else {
-      grp.plan.sg = make_subgraph(graph, grp.nodes);
-    }
-    // Unmergeable kinds, and single layers over the budget, run as vendor.
-    if (!grp.mergeable || (grp.plan.strategy != Strategy::kVendor &&
-                           grp.plan.footprint_bytes > options.l2_budget)) {
-      grp.plan = vendor_plan(std::move(grp.plan));
-      cost_calls.add(1);
-      grp.cost =
-          obs::predict_subgraph(graph, grp.plan, options.machine).seconds;
-    }
-    groups.push_back(std::move(grp));
-  }
-
-  // Evaluate a quotient edge (ga feeds gb) as a merge candidate. Guard order
-  // matters: the cycle-safety BFS runs first (the structural invariant that
-  // must never be violated), then the single-terminal closure, the layer
-  // cap, and the footprint hard cap.
-  const auto evaluate = [&](int ga, int gb) {
-    MergeEval eval;
-    if (merge_creates_cycle(graph, group_of, ga, gb)) {
-      m.counter("partition.greedy.cycle_rejects").add(1);
-      return eval;
-    }
-    std::vector<int> merged;
-    merged.reserve(groups[static_cast<size_t>(ga)].nodes.size() +
-                   groups[static_cast<size_t>(gb)].nodes.size());
-    std::merge(groups[static_cast<size_t>(ga)].nodes.begin(),
-               groups[static_cast<size_t>(ga)].nodes.end(),
-               groups[static_cast<size_t>(gb)].nodes.begin(),
-               groups[static_cast<size_t>(gb)].nodes.end(),
-               std::back_inserter(merged));
-    if (static_cast<int>(merged.size()) > options.max_layers) return eval;
-    if (!closable(graph, merged)) return eval;
-    std::tie(eval.plan, eval.cost) = plan_and_cost(std::move(merged));
-    if (eval.plan.strategy != Strategy::kVendor &&
-        eval.plan.footprint_bytes > options.l2_budget) {
-      m.counter("partition.greedy.budget_rejects").add(1);
-      return eval;
-    }
-    eval.legal = true;
-    return eval;
-  };
-
-  std::map<std::pair<int, int>, MergeEval> cache;
-  i64 accepted = 0;
-  double benefit_sum = 0.0;
-  for (;;) {
-    // Quotient edges between live mergeable groups, deduplicated.
-    std::vector<std::pair<int, int>> edges;
-    for (int n = 0; n < graph.num_nodes(); ++n) {
-      const int ga = group_of[static_cast<size_t>(n)];
-      if (ga < 0 || !groups[static_cast<size_t>(ga)].mergeable) continue;
-      for (int c : graph.consumers(n)) {
-        const int gb = group_of[static_cast<size_t>(c)];
-        if (gb < 0 || gb == ga || !groups[static_cast<size_t>(gb)].mergeable) {
-          continue;
-        }
-        edges.emplace_back(ga, gb);
-      }
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-    int best_a = -1, best_b = -1;
-    double best_benefit = 0.0;
-    for (const auto& [ga, gb] : edges) {
-      auto it = cache.find({ga, gb});
-      if (it == cache.end()) {
-        it = cache.emplace(std::make_pair(ga, gb), evaluate(ga, gb)).first;
-        if (!it->second.legal) {
-          m.counter("partition.greedy.merges_rejected").add(1);
-        }
-      }
-      if (!it->second.legal) continue;
-      const double benefit = groups[static_cast<size_t>(ga)].cost +
-                             groups[static_cast<size_t>(gb)].cost -
-                             it->second.cost;
-      if (benefit > best_benefit) {
-        best_benefit = benefit;
-        best_a = ga;
-        best_b = gb;
-      }
-    }
-    if (best_a < 0) break;
-
-    // Merge gb into ga; drop every cached evaluation touching either group
-    // (their neighbors' candidates must be re-costed against the new group).
-    MergeEval winner = std::move(cache.at({best_a, best_b}));
-    GreedyGroup& a = groups[static_cast<size_t>(best_a)];
-    GreedyGroup& b = groups[static_cast<size_t>(best_b)];
-    std::vector<int> merged_nodes;
-    std::merge(a.nodes.begin(), a.nodes.end(), b.nodes.begin(), b.nodes.end(),
-               std::back_inserter(merged_nodes));
-    a.nodes = std::move(merged_nodes);
-    a.plan = std::move(winner.plan);
-    a.cost = winner.cost;
-    b.alive = false;
-    b.nodes.clear();
-    for (int& g : group_of) {
-      if (g == best_b) g = best_a;
-    }
-    for (auto it = cache.begin(); it != cache.end();) {
-      if (it->first.first == best_a || it->first.second == best_a ||
-          it->first.first == best_b || it->first.second == best_b) {
-        it = cache.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    ++accepted;
-    benefit_sum += best_benefit;
-  }
-
-  m.counter("partition.greedy.merges_accepted").add(accepted);
-  // Counters are integral; predicted benefit accumulates in nanoseconds.
-  m.counter("partition.greedy.benefit_ns")
-      .add(static_cast<i64>(benefit_sum * 1e9));
-
-  // Emit in quotient topological order. Every group's terminal is its max
-  // node id and ids are a topological order of the graph, so sorting groups
-  // by terminal id orders them so each external input is produced first.
-  std::vector<const GreedyGroup*> live;
-  for (const GreedyGroup& g : groups) {
-    if (g.alive) live.push_back(&g);
-  }
-  std::sort(live.begin(), live.end(),
-            [](const GreedyGroup* x, const GreedyGroup* y) {
-              return x->nodes.back() < y->nodes.back();
-            });
-  Partition partition;
-  partition.subgraphs.reserve(live.size());
-  for (const GreedyGroup* g : live) partition.subgraphs.push_back(g->plan);
-
-  // A/B guard: pairwise merging can stall in a local optimum the paper's
-  // one-shot cut escapes. Keep whichever partition the shared objective
-  // scores better, so greedy is never worse than paper by construction.
-  Partition paper = partition_paper(graph, options);
-  const double greedy_s =
-      predicted_partition_seconds(graph, partition, options.machine);
-  const double paper_s =
-      predicted_partition_seconds(graph, paper, options.machine);
-  if (paper_s < greedy_s) {
-    m.counter("partition.greedy.paper_fallbacks").add(1);
-    return paper;
-  }
-  return partition;
-}
-
-}  // namespace
-
-bool known_partition_strategy(const std::string& name) {
-  return name == "paper" || name == "greedy";
 }
 
 Partition partition_graph(const Graph& graph, const PartitionOptions& options) {
@@ -604,14 +345,7 @@ Partition partition_graph(const Graph& graph, const PartitionOptions& options) {
     return partition_graph(graph, folded);
   }
   obs::TraceSpan span("engine", "partition:" + graph.name());
-  BDL_CHECK_MSG(known_partition_strategy(options.strategy),
-                "unknown partition strategy '"
-                    << options.strategy
-                    << "' (validate_engine_options rejects this earlier)");
-  Partition partition = options.strategy == "greedy"
-                            ? partition_greedy(graph, options)
-                            : partition_paper(graph, options);
-  span.arg("greedy", options.strategy == "greedy" ? 1 : 0);
+  Partition partition = partition_paper(graph, options);
   span.arg("subgraphs", static_cast<i64>(partition.subgraphs.size()));
   span.arg("merged", partition.merged_subgraphs());
   obs::metrics().counter("partition.runs").add(1);

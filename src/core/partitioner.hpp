@@ -12,16 +12,6 @@
 //   * a layer-count cap is reached.
 // For each closed subgraph the brick-size model picks B (ρ ≤ τ) and the
 // padding-growth rule picks the strategy: padded bricks unless Δ > 15%.
-//
-// A second partition algorithm, selected with PartitionOptions::strategy =
-// "greedy" (DESIGN.md §11), replaces the one-shot footprint cut with
-// benefit-driven pairwise merging: start one subgraph per layer and
-// repeatedly merge the adjacent pair whose merged §4-model prediction
-// (obs::predict_subgraph) beats the pair's summed predictions by the most,
-// guarded by a cycle-safety BFS over the quotient DAG and the L2 footprint
-// budget as a hard cap. The result is returned only if its predicted total
-// latency is no worse than the paper partition's; otherwise the paper
-// partition wins the A/B and is returned (partition.greedy.paper_fallbacks).
 #pragma once
 
 #include <optional>
@@ -44,11 +34,6 @@ enum class Strategy {
 const char* strategy_name(Strategy s);
 
 struct PartitionOptions {
-  /// Partition algorithm: "paper" (the §3.3.1 one-shot reverse-traversal
-  /// cut) or "greedy" (benefit-driven pairwise merging, DESIGN.md §11).
-  /// `validate_engine_options` rejects unknown names with kInvalidOptions;
-  /// `partition_graph` called directly with one is a programming error.
-  std::string strategy = "paper";
   i64 l2_budget = MachineParams{}.l2_bytes;
   double delta_threshold = 0.15;  ///< Δ rule (§3.3.2)
   int max_layers = 12;            ///< cap on merged subgraph depth
@@ -67,9 +52,9 @@ struct PartitionOptions {
   MachineParams machine;
   /// Fitted cost-model constants (obs/calibrate.hpp, DESIGN.md §15). When
   /// set, every §4 costing decision made under these options — brick-size
-  /// and strategy selection, the greedy merge benefits, the paper/greedy A/B
-  /// guard — prices plans with `machine` overwritten by these constants.
-  /// Partition results (never outputs) may differ from the stock model's.
+  /// and strategy selection — prices plans with `machine` overwritten by
+  /// these constants. Partition results (never outputs) may differ from the
+  /// stock model's.
   std::optional<obs::CalibratedConstants> calibration;
 };
 
@@ -98,29 +83,13 @@ struct Partition {
   std::string describe(const Graph& graph) const;
 };
 
-/// True for a recognized PartitionOptions::strategy name ("paper", "greedy").
-bool known_partition_strategy(const std::string& name);
-
 Partition partition_graph(const Graph& graph,
                           const PartitionOptions& options = {});
 
 /// Total §4-model predicted latency of a partition: the sum of
-/// obs::predict_subgraph(...).seconds over every planned subgraph. This is
-/// the objective the greedy partitioner minimizes, exposed so tests and the
-/// fig07 A/B harness can compare strategies on the exact quantity optimized.
+/// obs::predict_subgraph(...).seconds over every planned subgraph.
 double predicted_partition_seconds(const Graph& graph, const Partition& p,
                                    const MachineParams& machine);
-
-/// Cycle-safety check for the greedy partitioner, exposed for tests.
-/// `group_of` maps every node id to its current subgraph (group) id, -1 for
-/// kInput nodes. Returns true when merging groups `ga` and `gb` would create
-/// a cycle in the quotient subgraph DAG — i.e. some path from `ga` to `gb`
-/// escapes through a third group, so the merged subgraph would both feed and
-/// depend on that group. The greedy partitioner runs this BFS before every
-/// merge; a candidate that fails is rejected outright
-/// (`partition.greedy.cycle_rejects`).
-bool merge_creates_cycle(const Graph& graph, const std::vector<int>& group_of,
-                         int ga, int gb);
 
 /// Plan a single already-chosen subgraph (used by benches that force
 /// specific partitions, e.g. Fig. 10's 2+2+2 / 3+3 / 4+2 / 6 splits).

@@ -133,7 +133,7 @@ std::string plan_options_fingerprint(const EngineOptions& options) {
   // uncalibrated processes key to different entries.
   const MachineParams m = effective_machine(p);
   std::ostringstream fp;
-  fp << "strategy=" << p.strategy << ";l2_budget=" << p.l2_budget
+  fp << "l2_budget=" << p.l2_budget
      << ";delta=" << fmt_double(p.delta_threshold)
      << ";max_layers=" << p.max_layers
      << ";modeled_workers=" << p.modeled_workers

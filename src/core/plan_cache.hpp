@@ -13,7 +13,7 @@
 //     the serving layer rebatches the same model per batch size and each row
 //     count plans differently;
 //   * options fingerprint — every knob that can change the planner's output
-//     (partition strategy and budgets, brick model τ, force overrides, and
+//     (partition budgets, brick model τ, force overrides, and
 //     the *effective* — i.e. calibrated — machine constants), rendered as a
 //     canonical string. A calibrated process never warm-starts from an
 //     uncalibrated plan, and vice versa.

@@ -29,10 +29,6 @@ CacheModel::CacheModel(i64 capacity_bytes, int ways, i64 line_bytes)
   } else {
     geometry_ = Geometry::kGeneric;
   }
-  init_storage();
-}
-
-void CacheModel::init_storage() {
   dispatch([&]<int W, typename Tag>() {
     using Block = SetBlock<W, Tag>;
     block_bytes_ = sizeof(Block);
@@ -49,16 +45,6 @@ bool CacheModel::clean() const {
   for (const TouchedSets& touched : touched_) {
     if (!touched.sets.empty()) return false;
   }
-  return true;
-}
-
-bool CacheModel::refresh_storage_if_clean() {
-  if (!clean()) return false;
-  // Every touched set has been flushed, so all tags are empty: re-running
-  // the initializer reproduces the current logical state exactly, but the
-  // freshly assigned vector's pages are committed by the *calling* thread.
-  storage_ = std::vector<u64>();
-  init_storage();
   return true;
 }
 

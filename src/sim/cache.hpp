@@ -230,12 +230,6 @@ class CacheModel {
   /// models discarding dead intermediate data.
   void invalidate(u64 line);
 
-  /// Re-allocate the per-set metadata from the calling thread (NUMA
-  /// first-touch for per-worker L1s) — legal only while the cache holds no
-  /// touched set, i.e. right after construction or a flush. Returns false
-  /// (and leaves everything alone) otherwise, so counters can never change.
-  bool refresh_storage_if_clean();
-
   /// Split the sets into `parts` (a power of two) partitions interleaved in
   /// runs of 2^kPartitionShift consecutive sets, each with its own
   /// touched-set list reserved up front: probes of different partitions may
@@ -436,7 +430,6 @@ class CacheModel {
   }
 
   bool clean() const;
-  void init_storage();
 
   i64 line_bytes_;
   int ways_;
@@ -446,8 +439,8 @@ class CacheModel {
   u32 partition_mask_ = 0;  ///< partitions - 1
   LineSplitter split_;      ///< for access(); read-only for access_split()
   // Raw backing store for the SetBlock array (u64 so the base is 8-aligned,
-  // matching alignof(SetBlock)); sized/initialized per geometry in
-  // init_storage.
+  // matching alignof(SetBlock)); sized/initialized per geometry by the
+  // constructor.
   std::vector<u64> storage_;
   // Sets touched since the last flush, per partition, so flush() is
   // O(working set) instead of O(capacity) — per-invocation L1 resets would

@@ -278,12 +278,6 @@ void MemoryHierarchySim::access_unlocked(int worker, u64 addr, i64 bytes,
   }
 }
 
-void MemoryHierarchySim::first_touch_l1(int worker) {
-  BDL_CHECK(worker >= 0 && worker < num_workers());
-  std::lock_guard<SpinLock> lock(mu_);
-  l1_[static_cast<size_t>(worker)].refresh_storage_if_clean();
-}
-
 void MemoryHierarchySim::invocation_begin(int worker) {
   BDL_CHECK(worker >= 0 && worker < num_workers());
   std::lock_guard<SpinLock> lock(mu_);

@@ -104,11 +104,6 @@ class MemoryHierarchySim {
   /// from the previous invocation are written back into L2.
   void invocation_begin(int worker);
 
-  /// NUMA first-touch (util/numa.hpp): re-allocate `worker`'s L1 metadata
-  /// from the calling thread. No-op — counters untouched — unless the L1 is
-  /// clean (fresh or flushed), so it is safe to call at pool warm-up.
-  void first_touch_l1(int worker);
-
   /// Count atomic operations (they synchronize at L2 on NVIDIA GPUs; we track
   /// them separately from data transactions, as Nsight does).
   void count_atomics(i64 compulsory, i64 conflict);

@@ -179,50 +179,41 @@ struct DiffRun {
         });
       }
     }
-    // Full strategy × partitioner × brick × worker matrix: the partition
-    // decision (paper's one-shot cut vs greedy benefit-driven merging)
-    // changes every subgraph boundary the executors see, so each partitioner
-    // must independently reproduce the oracle bit-exactly.
-    for (const std::string& partitioner : o.partition_strategies) {
-      const std::string p =
-          partitioner == "paper" ? std::string() : "-" + partitioner;
-      for (i64 side : o.brick_sides) {
-        const std::string b = "-b" + std::to_string(side);
-        {
-          EngineOptions eo;
-          eo.partition.strategy = partitioner;
-          eo.force_strategy = Strategy::kPadded;
-          eo.force_brick_side = side;
-          engine_variant("padded" + b + p, eo, 4);
-          if (o.memo_parallel) {
-            eo.memo_parallel = true;
-            eo.memo_workers = 4;
-            engine_variant("padded" + b + "-par" + p, eo, 4);
-          }
+    // Full strategy × brick × worker matrix.
+    for (i64 side : o.brick_sides) {
+      const std::string b = "-b" + std::to_string(side);
+      {
+        EngineOptions eo;
+        eo.force_strategy = Strategy::kPadded;
+        eo.force_brick_side = side;
+        engine_variant("padded" + b, eo, 4);
+        if (o.memo_parallel) {
+          eo.memo_parallel = true;
+          eo.memo_workers = 4;
+          engine_variant("padded" + b + "-par", eo, 4);
         }
-        for (int workers : o.worker_counts) {
-          const std::string w = "-w" + std::to_string(workers);
-          // The plain memo variants pin the barriered schedule; their
-          // "-pipeline" twins run the same plan through cross-subgraph
-          // chains (DESIGN.md §14). Both must match the oracle bit-exactly,
-          // which is the strongest statement of the pipelining invariant:
-          // same kernels, same memo slots, only the schedule differs.
-          EngineOptions eo;
-          eo.partition.strategy = partitioner;
-          eo.force_strategy = Strategy::kMemoized;
-          eo.force_brick_side = side;
-          eo.memo_workers = workers;
+      }
+      for (int workers : o.worker_counts) {
+        const std::string w = "-w" + std::to_string(workers);
+        // The plain memo variants pin the barriered schedule; their
+        // "-pipeline" twins run the same plan through cross-subgraph
+        // chains (DESIGN.md §14). Both must match the oracle bit-exactly,
+        // which is the strongest statement of the pipelining invariant:
+        // same kernels, same memo slots, only the schedule differs.
+        EngineOptions eo;
+        eo.force_strategy = Strategy::kMemoized;
+        eo.force_brick_side = side;
+        eo.memo_workers = workers;
+        eo.pipeline_subgraphs = false;
+        engine_variant("memo" + b + w, eo, workers);
+        eo.pipeline_subgraphs = true;
+        engine_variant("memo" + b + w + "-pipeline", eo, workers);
+        if (o.memo_parallel) {
+          eo.memo_parallel = true;
           eo.pipeline_subgraphs = false;
-          engine_variant("memo" + b + w + p, eo, workers);
+          engine_variant("memo-par" + b + w, eo, workers);
           eo.pipeline_subgraphs = true;
-          engine_variant("memo" + b + w + p + "-pipeline", eo, workers);
-          if (o.memo_parallel) {
-            eo.memo_parallel = true;
-            eo.pipeline_subgraphs = false;
-            engine_variant("memo-par" + b + w + p, eo, workers);
-            eo.pipeline_subgraphs = true;
-            engine_variant("memo-par" + b + w + p + "-pipeline", eo, workers);
-          }
+          engine_variant("memo-par" + b + w + "-pipeline", eo, workers);
         }
       }
     }

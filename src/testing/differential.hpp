@@ -2,9 +2,9 @@
 //
 // One generated graph is executed through the kernel-level reference, the
 // vendor fallback, every fused-baseline rule set, and the Engine with each
-// merged strategy forced across the full partitioner (paper, greedy) ×
-// brick-side × worker-count cross-product; every run's single graph output
-// is compared elementwise against testing/reference_eager.hpp. All region kernels accumulate each
+// merged strategy forced across the full brick-side × worker-count
+// cross-product; every run's single graph output is compared elementwise
+// against testing/reference_eager.hpp. All region kernels accumulate each
 // output element in one fixed order regardless of windowing, so agreement is
 // asserted *exact* (tolerance 0) by default.
 //
@@ -23,10 +23,6 @@ namespace brickdl {
 struct DiffOptions {
   std::vector<i64> brick_sides = {4, 8, 16, 32};
   std::vector<int> worker_counts = {1, 4, 16};
-  /// Graph partitioners to cross with every engine variant. "paper" keeps
-  /// the historical variant names; any other entry suffixes them ("-greedy"),
-  /// so old replay lines keep selecting the paper-partitioned runs.
-  std::vector<std::string> partition_strategies = {"paper", "greedy"};
   bool kernel_reference = true;  ///< full-tensor region kernels, node by node
   bool vendor = true;            ///< per-layer tiled fallback
   bool fused_baselines = true;   ///< FusionRules::{kNone,kConvPointwise,kAggressive}

@@ -67,13 +67,6 @@ class Arena {
     }
   }
 
-  /// Total slab capacity, in floats (diagnostics / tests).
-  size_t floats_reserved() const {
-    size_t total = 0;
-    for (const Block& b : blocks_) total += b.cap;
-    return total;
-  }
-
  private:
   struct Block {
     std::unique_ptr<float[]> data;

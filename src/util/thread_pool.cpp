@@ -6,11 +6,10 @@
 #include <string>
 
 #include "obs/trace.hpp"
-#include "util/numa.hpp"
 
 namespace brickdl {
 
-ThreadPool::ThreadPool(int workers, bool numa_pin) : numa_pin_(numa_pin) {
+ThreadPool::ThreadPool(int workers) {
   BDL_CHECK_MSG(workers > 0, "thread pool needs at least one worker");
   threads_.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
@@ -114,7 +113,6 @@ void ThreadPool::wait_idle() {
 
 void ThreadPool::worker_loop(int worker) {
   obs::Tracer::set_thread_label("pool-worker-" + std::to_string(worker));
-  if (numa_pin_) numa::pin_worker_round_robin(worker);
   for (;;) {
     Task task;
     {

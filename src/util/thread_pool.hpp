@@ -19,10 +19,7 @@ class ThreadPool {
   /// Task receives the index of the worker executing it, in [0, size()).
   using Task = std::function<void(int worker)>;
 
-  /// With `numa_pin`, each worker pins itself round-robin across the host's
-  /// NUMA nodes before serving tasks (no-op on single-node hosts; see
-  /// util/numa.hpp).
-  explicit ThreadPool(int workers, bool numa_pin = false);
+  explicit ThreadPool(int workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -61,7 +58,6 @@ class ThreadPool {
  private:
   void worker_loop(int worker);
 
-  const bool numa_pin_;
   std::vector<std::thread> threads_;
   std::deque<Task> queue_;
   std::mutex mu_;

@@ -88,19 +88,17 @@ void release_nan_blocks(const Graph& g, NumericBackend& backend) {
 }
 
 struct Variant {
-  std::string partitioner;
   Strategy strategy;
   bool parallel;
 };
 
 std::string variant_name(const Variant& v) {
-  return v.partitioner + "/" + strategy_name(v.strategy) +
+  return std::string(strategy_name(v.strategy)) +
          (v.parallel ? "/pooled" : "/serial");
 }
 
 EngineOptions variant_options(const Variant& v) {
   EngineOptions eo;
-  eo.partition.strategy = v.partitioner;
   eo.partition.cost_aware = false;  // at this scale the model picks vendor
   eo.force_strategy = v.strategy;
   eo.memo_workers = kWorkers;
@@ -117,28 +115,26 @@ TEST(ActivationLifetime, PoisonedReuseMatchesEagerOracle) {
   const Tensor input = random_input(g, 7);
   const Tensor reference = eager_output(g, input, ws);
 
-  for (const std::string partitioner : {"paper", "greedy"}) {
-    for (Strategy strategy :
-         {Strategy::kVendor, Strategy::kPadded, Strategy::kMemoized}) {
-      for (bool parallel : {false, true}) {
-        const Variant v{partitioner, strategy, parallel};
-        SCOPED_TRACE(variant_name(v));
-        Engine engine(g, variant_options(v));
-        NumericBackend backend(g, ws, kWorkers);
-        release_nan_blocks(g, backend);
-        const i64 reserved = backend.reserved_bytes();
+  for (Strategy strategy :
+       {Strategy::kVendor, Strategy::kPadded, Strategy::kMemoized}) {
+    for (bool parallel : {false, true}) {
+      const Variant v{strategy, parallel};
+      SCOPED_TRACE(variant_name(v));
+      Engine engine(g, variant_options(v));
+      NumericBackend backend(g, ws, kWorkers);
+      release_nan_blocks(g, backend);
+      const i64 reserved = backend.reserved_bytes();
 
-        const auto result = engine.run_checked(backend, &input);
-        ASSERT_TRUE(result.ok()) << result.status().to_string();
-        EXPECT_TRUE(same_bits(backend.read(result.value().output), reference));
-        int ran = 0;
-        for (const SubgraphReport& report : result.value().reports) {
-          ran += report.executed == strategy;
-        }
-        EXPECT_GT(ran, 0) << "no subgraph ran the forced strategy";
-        EXPECT_EQ(backend.reserved_bytes(), reserved)
-            << "a tensor was served fresh storage, not a poisoned block";
+      const auto result = engine.run_checked(backend, &input);
+      ASSERT_TRUE(result.ok()) << result.status().to_string();
+      EXPECT_TRUE(same_bits(backend.read(result.value().output), reference));
+      int ran = 0;
+      for (const SubgraphReport& report : result.value().reports) {
+        ran += report.executed == strategy;
       }
+      EXPECT_GT(ran, 0) << "no subgraph ran the forced strategy";
+      EXPECT_EQ(backend.reserved_bytes(), reserved)
+          << "a tensor was served fresh storage, not a poisoned block";
     }
   }
 }

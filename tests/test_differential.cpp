@@ -3,8 +3,8 @@
 // Sweeps ≥50 seeded random graphs through every executor variant — kernel
 // reference, vendor fallback, the three fused-baseline rule sets, and the
 // Engine with padded / memoized (virtual run() and real-thread
-// run_parallel()) forced across partitioners {paper, greedy} × brick sides
-// {4,8,16,32} × memo worker counts {1,4,16} — asserting exact elementwise
+// run_parallel()) forced across brick sides {4,8,16,32} × memo worker
+// counts {1,4,16} — asserting exact elementwise
 // agreement with the independent eager oracle. Failures print a replay
 // command for tools/brickdl_fuzz.
 //

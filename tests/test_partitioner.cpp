@@ -174,19 +174,16 @@ TEST(Partitioner, OverBudgetSingleLayerPlansVendor) {
   }
   EXPECT_TRUE(saw_res3a_proj);
 
-  // Both partitioners, at a budget nothing fits: all vendor singletons.
+  // At a budget nothing fits: all vendor singletons.
   const Graph chain = build_conv_chain_2d(6, 1, 96, 64);
-  for (const std::string strategy : {"paper", "greedy"}) {
-    PartitionOptions tight;
-    tight.strategy = strategy;
-    tight.cost_aware = false;
-    tight.l2_budget = 1;
-    const Partition pt = partition_graph(chain, tight);
-    check_partition_invariants(chain, pt);
-    EXPECT_EQ(pt.subgraphs.size(), 6u) << strategy;
-    for (const PlannedSubgraph& planned : pt.subgraphs) {
-      EXPECT_EQ(planned.strategy, Strategy::kVendor) << strategy;
-    }
+  PartitionOptions tight;
+  tight.cost_aware = false;
+  tight.l2_budget = 1;
+  const Partition pt = partition_graph(chain, tight);
+  check_partition_invariants(chain, pt);
+  EXPECT_EQ(pt.subgraphs.size(), 6u);
+  for (const PlannedSubgraph& planned : pt.subgraphs) {
+    EXPECT_EQ(planned.strategy, Strategy::kVendor);
   }
 }
 

@@ -9,8 +9,7 @@
 // exactly-once guarantee across the retired barrier: a worker abandoned
 // mid-chain on an *upstream* stage's brick is repaired by the watchdog and
 // the whole chain still completes exactly-once. The serving tests lift the
-// same overlap to cross-batch pipelining (max_inflight_batches > 1) and the
-// NUMA tests pin workers without perturbing a single bit of output.
+// same overlap to cross-batch pipelining (max_inflight_batches > 1).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -23,7 +22,6 @@
 #include "serve/server.hpp"
 #include "testing/fault_injection.hpp"
 #include "testing/reference_eager.hpp"
-#include "util/numa.hpp"
 
 namespace brickdl {
 namespace {
@@ -249,28 +247,6 @@ TEST(PipelineResilience, VirtualCrossBoundaryStallReclaimed) {
 // watchdogs repair its cross-stage tags with CAS — race-free.
 TEST(PipelineResilience, ParallelCrossBoundaryStallReclaimed) {
   check_cross_boundary_stall_reclaimed(/*parallel=*/true);
-}
-
-// NUMA pinning is a placement decision, never a numerics decision: the
-// pinned run (real threads, first-touched arenas) is bit-identical to the
-// unpinned one, and the topology helpers degrade gracefully on one node.
-TEST(PipelineNuma, PinnedRunBitIdentical) {
-  EXPECT_GE(numa::num_nodes(), 1);
-  EXPECT_EQ(numa::node_cpus().size(), static_cast<size_t>(numa::num_nodes()));
-  // Single-node hosts (and containers denying affinity) return false and
-  // leave the mask alone; either way this must not throw or perturb state.
-  (void)numa::pin_worker_round_robin(0);
-
-  const Graph g = chain_model();
-  WeightStore ws(kWeightSeed);
-  const Tensor input = random_input(g, 38);
-
-  EngineOptions pinned = chain_options(true, 4, /*parallel=*/true);
-  pinned.numa_pin = true;
-  const EngineRun with_pin = run_engine(g, input, ws, pinned);
-  const EngineRun without_pin =
-      run_engine(g, input, ws, chain_options(true, 4, /*parallel=*/true));
-  EXPECT_EQ(max_abs_diff(with_pin.output, without_pin.output), 0.0);
 }
 
 // ---- cross-batch pipelining (serving) ----

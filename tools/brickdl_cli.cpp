@@ -10,9 +10,6 @@
 //     --spatial N      input resolution per dim  (default 224; 3D models cube it)
 //     --width-div N    divide channel widths     (default 1)
 //     --system S       cudnn | torchscript | xla | brickdl | all  (default all)
-//     --partition-strategy S   paper | greedy — BrickDL graph partitioner
-//                      (default paper; see DESIGN.md §11). Unknown names are
-//                      rejected up front by validate_engine_options.
 //     --partition      print the partition plan and exit
 //     --dot            print the graph as Graphviz and exit
 //     --no-fuse        skip the conv+pointwise rewrite for BrickDL
@@ -59,7 +56,6 @@ struct Options {
   std::string model;
   ModelConfig config;
   std::string system = "all";
-  std::string partition_strategy = "paper";
   bool partition_only = false;
   bool dot = false;
   bool fuse = true;
@@ -137,7 +133,6 @@ int usage() {
                "[--width-div N]\n"
                "                   [--system cudnn|torchscript|xla|brickdl|all]"
                " [--partition] [--dot] [--no-fuse]\n"
-               "                   [--partition-strategy paper|greedy]\n"
                "                   [--trace[=t.json]] [--report[=r.json]]\n"
                "                   [--plan-cache DIR] [--calibration c.json]\n"
                "                   [--calibrate-out c.json] "
@@ -155,13 +150,11 @@ struct Modeled {
 };
 
 Modeled run_system(const Graph& graph, const std::string& system,
-                   const std::string& partition_strategy,
                    const std::optional<obs::CalibratedConstants>& calibration) {
   MemoryHierarchySim sim(MachineParams::a100());
   ModelBackend backend(graph, sim);
   if (system == "brickdl") {
     EngineOptions eopts;
-    eopts.partition.strategy = partition_strategy;
     eopts.partition.calibration = calibration;
     Engine engine(graph, eopts);
     engine.run_checked(backend).status().throw_if_error();
@@ -207,10 +200,6 @@ int main(int argc, char** argv) {
       opts.config.width_div = std::atol(next());
     } else if (arg == "--system") {
       opts.system = next();
-    } else if (arg == "--partition-strategy") {
-      const char* value = next();
-      if (!value) return usage();
-      opts.partition_strategy = value;
     } else if (arg == "--partition") {
       opts.partition_only = true;
     } else if (arg == "--dot") {
@@ -290,22 +279,15 @@ int main(int argc, char** argv) {
   }
   if (opts.partition_only) {
     EngineOptions eopts;
-    eopts.partition.strategy = opts.partition_strategy;
     eopts.plan_cache_dir = opts.plan_cache_dir;
     eopts.partition.calibration = calibration;
-    const Status preflight = validate_engine_options(eopts);
-    if (!preflight.ok()) {
-      std::fprintf(stderr, "%s\n", preflight.to_string().c_str());
-      return 1;
-    }
     Engine engine(brickdl_graph, eopts);
     std::printf("\n%s", engine.partition().describe(brickdl_graph).c_str());
-    std::printf("predicted total: %.3f ms (%s partitioner)\n",
+    std::printf("predicted total: %.3f ms\n",
                 predicted_partition_seconds(brickdl_graph, engine.partition(),
                                             effective_machine(
                                                 eopts.partition)) *
-                    1e3,
-                opts.partition_strategy.c_str());
+                    1e3);
     return 0;
   }
 
@@ -320,7 +302,6 @@ int main(int argc, char** argv) {
     obs::Tracer::instance().set_enabled(!opts.trace_path.empty());
     EngineOptions eopts;
     eopts.profile = true;
-    eopts.partition.strategy = opts.partition_strategy;
     eopts.plan_cache_dir = opts.plan_cache_dir;
     eopts.partition.calibration = calibration;
     MemoryHierarchySim sim(MachineParams::a100());
@@ -403,7 +384,7 @@ int main(int argc, char** argv) {
     if (opts.system != "all" && opts.system != system) continue;
     const Modeled m = run_system(
         std::string(system) == "brickdl" ? brickdl_graph : graph, system,
-        opts.partition_strategy, calibration);
+        calibration);
     if (std::string(system) == "cudnn" || base.total_ms == 0.0) base = m;
     table.add_row({system, TextTable::num(m.total_ms),
                    TextTable::num(m.dram_ms), TextTable::num(m.compute_ms),

@@ -11,7 +11,7 @@
 #                         scheduler), the pipelining suite (chained tag
 #                         tables shared by real worker threads, the serving
 #                         runner-pool/scheduler handoff), the
-#                         greedy-partitioner property suite (shared metrics
+#                         partitioner property suite (shared metrics
 #                         registry traffic), the plan-cache suite
 #                         (concurrent warm-start readers racing a writer
 #                         through the atomic tmp+rename publish), and the
@@ -20,18 +20,17 @@
 #                         and the activation-lifetime tests (storage
 #                         released and recycled between pooled subgraphs).
 #   2. ASan + UBSan:      the differential fuzz suite (random graphs through
-#                         every executor variant, paper and greedy
-#                         partitioners), the window-copy property tests, the
-#                         activation-lifetime tests (released storage is
-#                         poisoned, so reading a dead activation trips ASan),
+#                         every executor variant), the window-copy property
+#                         tests, the activation-lifetime tests (released
+#                         storage is poisoned, so reading a dead activation
+#                         trips ASan),
 #                         plus the resilience, observability, serving,
 #                         partition, plan-cache and simulator suites
 #                         (includes the malformed-parse corpus, JSON
 #                         parse-back, and the poisoned-cache-entry rejection
 #                         paths).
 #   3. Release (-O3 -DNDEBUG): the differential + perf (fast-path vs generic
-#                         kernel, plus the fig07 paper-vs-greedy partition
-#                         A/B gate) + obs (unit suite plus the CLI and
+#                         kernel) + obs (unit suite plus the CLI and
 #                         serving-telemetry end-to-end smokes, which validate
 #                         every exported artifact) labels at the optimization
 #                         level the fast paths ship at — vectorized interior
@@ -62,7 +61,7 @@ if run_stage tsan; then
         --target brickdl_pipeline_tests --target brickdl_partition_tests \
         --target brickdl_plan_cache_tests --target brickdl_sim_tests
   ctest --test-dir "$SRC_DIR/build-tsan" --output-on-failure --timeout 600 \
-        -R 'MemoizedExecutor|ThreadPool|EnginePool|Resilience|Obs|Serve|Pipeline|GreedyPartitioner|PlanCache|MemSimShards|SimGolden|ActivationLifetime'
+        -R 'MemoizedExecutor|ThreadPool|EnginePool|Resilience|Obs|Serve|Pipeline|PartitionerProperties|PlanCache|MemSimShards|SimGolden|ActivationLifetime'
 fi
 
 if run_stage asan; then
@@ -74,14 +73,14 @@ if run_stage asan; then
         --target brickdl_obs_tests --target brickdl_serve_tests \
         --target brickdl_pipeline_tests --target brickdl_partition_tests \
         --target brickdl_plan_cache_tests --target brickdl_sim_tests \
-        --target mb_kernels --target fig07_partition_ab \
+        --target mb_kernels \
         --target brickdl_serve --target brickdl_report_check
   # obs_smoke and plan_cache_smoke (the CLI end-to-end runs) are excluded:
   # they need the CLI binaries and are far too slow under ASan; the unit
   # suites cover the same code paths. perf = the fast-path-vs-generic kernel
   # sweeps + mb_kernels smoke: cheap, and exactly where an interior-loop
-  # indexing bug would surface. partition adds the greedy property sweep and
-  # the fig07 partition A/B gate; plan_cache adds the cold/warm parity and
+  # indexing bug would surface. partition adds the partitioner property
+  # sweep; plan_cache adds the cold/warm parity and
   # cache-poisoning suite; sim adds the golden counters and the sharded-L2
   # differential test.
   ctest --test-dir "$SRC_DIR/build-asan" --output-on-failure --timeout 600 \
@@ -97,13 +96,13 @@ if run_stage asan; then
 fi
 
 if run_stage release; then
-  echo "== [release] Release -O3 -DNDEBUG: differential + perf + obs labels (incl. fig07 partition A/B gate, telemetry smokes) =="
+  echo "== [release] Release -O3 -DNDEBUG: differential + perf + obs labels (incl. telemetry smokes) =="
   cmake -B "$SRC_DIR/build-release" -S "$SRC_DIR" \
         -DCMAKE_BUILD_TYPE=Release \
         -DCMAKE_CXX_FLAGS_RELEASE="-O3 -DNDEBUG"
   cmake --build "$SRC_DIR/build-release" -j "$JOBS" \
         --target brickdl_differential_tests --target mb_kernels \
-        --target fig07_partition_ab --target brickdl_serve \
+        --target brickdl_serve \
         --target brickdl_obs_tests --target brickdl_cli \
         --target brickdl_report_check
   # perf includes serve_overload_smoke: the open-loop overload run (bounded
