@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "core/halo_plan.hpp"
-#include "core/plan_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -156,35 +155,6 @@ Engine::Engine(const Graph& graph, EngineOptions options)
   preflight_ = validate_engine_options(options_);
   if (!preflight_.ok()) return;  // validate()/run_checked() report it
 
-  // Warm start (DESIGN.md §15): the cache key fingerprints every planning
-  // knob including the force overrides below, so a hit already carries the
-  // overridden plans and skips planning entirely. Any miss or reject plans
-  // cold and (best-effort) publishes the result for the next process.
-  if (!options_.plan_cache_dir.empty()) {
-    const PlanCache cache(options_.plan_cache_dir);
-    PlanCacheLookup lookup;
-    {
-      obs::TraceSpan span("engine", "plan_cache:load", options_.trace);
-      lookup = cache.load(graph, options_);
-    }
-    auto& m = obs::metrics();
-    switch (lookup.outcome) {
-      case PlanCacheLookup::Outcome::kHit:
-        if (options_.metrics) m.counter("engine.plan_cache.hits").add(1);
-        partition_ = std::move(lookup.entry.partition);
-        release_after_ = boundary_releases(graph_, partition_);
-        return;
-      case PlanCacheLookup::Outcome::kMiss:
-        if (options_.metrics) m.counter("engine.plan_cache.misses").add(1);
-        break;
-      case PlanCacheLookup::Outcome::kReject:
-        if (options_.metrics) m.counter("engine.plan_cache.rejects").add(1);
-        std::cerr << "brickdl: plan cache entry rejected, planning cold: "
-                  << lookup.reject_reason.to_string() << "\n";
-        break;
-    }
-  }
-
   partition_ = partition_graph(graph, options_.partition);
   // Apply bench overrides by re-planning merged subgraphs.
   if (options_.force_brick_side > 0 || options_.force_strategy) {
@@ -198,27 +168,6 @@ Engine::Engine(const Graph& graph, EngineOptions options)
           planned.strategy != Strategy::kVendor) {
         planned.strategy = *options_.force_strategy;
       }
-    }
-  }
-
-  if (!options_.plan_cache_dir.empty()) {
-    obs::TraceSpan span("engine", "plan_cache:store", options_.trace);
-    const PlanCache cache(options_.plan_cache_dir);
-    PlanCacheEntry entry;
-    entry.partition = partition_;
-    entry.calibration = options_.partition.calibration;
-    const Status stored = cache.store(graph, options_, entry);
-    if (options_.metrics) {
-      obs::metrics()
-          .counter(stored.ok() ? "engine.plan_cache.writes"
-                               : "engine.plan_cache.write_failures")
-          .add(1);
-    }
-    if (!stored.ok()) {
-      // A read-only or full cache directory degrades to cold planning every
-      // process; it must never fail the engine.
-      std::cerr << "brickdl: plan cache store failed: " << stored.to_string()
-                << "\n";
     }
   }
   release_after_ = boundary_releases(graph_, partition_);
@@ -414,8 +363,7 @@ Status run_planned_subgraph_checked(
             vendor_interior.push_back(dst);
           }
           {
-            obs::TraceSpan layer_span("layer", node.name, {{"node", nid}},
-                                      options.trace);
+            obs::TraceSpan layer_span("layer", node.name, {{"node", nid}});
             run_node_tiled(graph, node, backend, local, dst,
                            options.vendor_tile_side, pool);
           }
@@ -453,8 +401,7 @@ Status Engine::run_segment(Backend& backend, ThreadPool* pool, size_t begin,
                     graph_.node(subs[end - 1].sg.terminal()).name
               : "subgraph:" + lead_terminal.name,
       {{"subgraph", static_cast<i64>(begin)}, {"members", static_cast<i64>(n)},
-       {"brick_side", lead.brick_side}},
-      options_.trace);
+       {"brick_side", lead.brick_side}});
 
   // Segment io: every out-of-segment producer, and each member's terminal,
   // bound to the attempt's output below. A member consuming an earlier
@@ -495,8 +442,7 @@ Status Engine::run_segment(Backend& backend, ThreadPool* pool, size_t begin,
     }
     obs::TraceSpan attempt_span(
         "engine", std::string("attempt:") + strategy_name(strategy),
-        {{"subgraph", static_cast<i64>(begin)}, {"retry", retry ? 1 : 0}},
-        options_.trace);
+        {{"subgraph", static_cast<i64>(begin)}, {"retry", retry ? 1 : 0}});
     const auto t0 = std::chrono::steady_clock::now();
     if (chained) {
       status = classify_exceptions([&] {
@@ -540,7 +486,7 @@ Status Engine::run_segment(Backend& backend, ThreadPool* pool, size_t begin,
         << " memo_parallel=" << (options_.memo_parallel ? 1 : 0)
         << " (cf. brickdl_fuzz --seed/--graph-idx for fuzzer-found graphs)";
     std::cerr << oss.str() << std::endl;
-    if (options_.metrics) obs::metrics().counter("engine.failures").add(1);
+    obs::metrics().counter("engine.failures").add(1);
     return Status(status.code(),
                   "subgraph terminating at '" + lead_terminal.name +
                       "' failed after " + std::to_string(attempts.size()) +
@@ -548,20 +494,18 @@ Status Engine::run_segment(Backend& backend, ThreadPool* pool, size_t begin,
   }
 
   const StrategyAttempt done = attempts.back();  // attempts moves below
-  if (options_.metrics) {
-    auto& m = obs::metrics();
-    m.counter("engine.subgraphs").add(static_cast<i64>(n));
-    if (attempts.size() > 1) m.counter("engine.fallbacks").add(1);
-    m.histogram("engine.subgraph_us")
-        .observe(static_cast<i64>(done.wall_seconds * 1e6));
-    if (chained) {
-      m.counter("engine.pipeline.chains").add(1);
-      m.counter("engine.pipeline.chain_subgraphs").add(static_cast<i64>(n));
-      m.counter("engine.pipeline.cross_claims")
-          .add(stats.cross_boundary_claims);
-      m.histogram("engine.pipeline.idle_tail_us")
-          .observe(static_cast<i64>(stats.idle_tail_seconds * 1e6));
-    }
+  auto& m = obs::metrics();
+  m.counter("engine.subgraphs").add(static_cast<i64>(n));
+  if (attempts.size() > 1) m.counter("engine.fallbacks").add(1);
+  m.histogram("engine.subgraph_us")
+      .observe(static_cast<i64>(done.wall_seconds * 1e6));
+  if (chained) {
+    m.counter("engine.pipeline.chains").add(1);
+    m.counter("engine.pipeline.chain_subgraphs").add(static_cast<i64>(n));
+    m.counter("engine.pipeline.cross_claims")
+        .add(stats.cross_boundary_claims);
+    m.histogram("engine.pipeline.idle_tail_us")
+        .observe(static_cast<i64>(stats.idle_tail_seconds * 1e6));
   }
   for (size_t k = begin; k < end; ++k) {
     SubgraphReport report;
@@ -602,8 +546,8 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
                                          const Tensor* input) {
   BDL_RETURN_IF_ERROR(validate());
 
-  obs::TraceSpan run_span("engine", "run:" + graph_.name(), options_.trace);
-  if (options_.metrics) obs::metrics().counter("engine.runs").add(1);
+  obs::TraceSpan run_span("engine", "run:" + graph_.name());
+  obs::metrics().counter("engine.runs").add(1);
   EngineResult result;
   auto* numeric = dynamic_cast<NumericBackend*>(&backend);
   auto* model = dynamic_cast<ModelBackend*>(&backend);
@@ -665,9 +609,7 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
     if (!status.ok() && end > index + 1) {
       // A failed chain left nothing behind: its first member runs alone,
       // down its own degradation ladder, and the next re-forms a segment.
-      if (options_.metrics) {
-        obs::metrics().counter("engine.pipeline.chain_fallbacks").add(1);
-      }
+      obs::metrics().counter("engine.pipeline.chain_fallbacks").add(1);
       end = index + 1;
       status = run_segment(backend, pool.get(), index, end, boundary, result);
     }
@@ -680,7 +622,7 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
     result.total_txns = model->sim().counters();
     result.total_tally = model->tally();
   }
-  if (numeric && options_.metrics) {
+  if (numeric) {
     obs::metrics()
         .histogram("engine.peak_live_bytes")
         .observe(numeric->peak_live_bytes());
@@ -780,8 +722,8 @@ Result<std::vector<Tensor>> Engine::run_batched_checked(
         "serve", "batch",
         {{"batch", ctx ? static_cast<i64>(ctx->batch_id) : 0},
          {"parts", static_cast<i64>(parts.size())}},
-        options_.trace && ctx != nullptr);
-    if (ctx && ctx->request_ids && options_.trace) {
+        ctx != nullptr);
+    if (ctx && ctx->request_ids) {
       for (const u64 id : *ctx->request_ids) {
         obs::Tracer::flow("serve", "req", id, 't');
       }
@@ -800,8 +742,7 @@ Result<std::vector<Tensor>> Engine::run_batched_checked(
   }
 
   obs::TraceSpan slice_span(
-      "serve", "slice", {{"parts", static_cast<i64>(parts.size())}},
-      options_.trace);
+      "serve", "slice", {{"parts", static_cast<i64>(parts.size())}});
   std::vector<Tensor> outputs;
   outputs.reserve(parts.size());
   i64 row = 0;

@@ -59,23 +59,8 @@ struct EngineOptions {
   /// strict barriered schedule (also implied by `profile`, whose per-subgraph
   /// counter attribution needs the barrier).
   bool pipeline_subgraphs = true;
-  /// Persistent plan cache directory (core/plan_cache.hpp, DESIGN.md §15).
-  /// Non-empty: the constructor warm-starts the partition from a validated
-  /// cache entry keyed by graph signature × rows × options fingerprint, and
-  /// stores the freshly planned partition on a miss. Rejected or unreadable
-  /// entries fall back to cold planning — warm and cold runs are
-  /// bit-identical either way (the fingerprint pins every planning knob and
-  /// planning is deterministic). Counters:
-  /// `engine.plan_cache.{hits,misses,writes,rejects,write_failures}`.
-  std::string plan_cache_dir;
 
   // ---- observability (DESIGN.md §8) ----
-  /// Emit engine-level spans (run / subgraph / attempt / vendor layer) when
-  /// the tracer is runtime-enabled. Executor and pool spans gate only on the
-  /// tracer switch, so they still record when the engine is bypassed.
-  bool trace = true;
-  /// Publish engine.* counters/histograms on the shared metrics registry.
-  bool metrics = true;
   /// Run the §4 cost model alongside execution: fill every report's
   /// `predicted`, and (on a ModelBackend) flush the simulator after each
   /// subgraph so buffered writebacks attribute to the subgraph that produced

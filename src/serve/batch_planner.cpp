@@ -24,7 +24,7 @@ Result<BatchPlanner::Cached*> BatchPlanner::cached_for(i64 total_rows) {
   }
   obs::metrics().counter("serve.plan_cache_misses").add(1);
   obs::TraceSpan span("serve", "plan:" + model_.name(),
-                      {{"rows", total_rows}}, options_.engine.trace);
+                      {{"rows", total_rows}});
 
   Result<Graph> rebatched = rebatch_graph(model_, total_rows);
   BDL_RETURN_IF_ERROR(rebatched.status());

@@ -341,11 +341,8 @@ void Server::finish(PendingRequest& request, RequestResult result) {
     // request's trace flow here is safe (submit-thread sheds never trace).
     {
       obs::TraceSpan span("serve", "finish:req" + std::to_string(request.id),
-                          {{"req", static_cast<i64>(request.id)}},
-                          options_.engine.trace);
-      if (options_.engine.trace) {
-        obs::Tracer::flow("serve", "req", request.id, 'f');
-      }
+                          {{"req", static_cast<i64>(request.id)}});
+      obs::Tracer::flow("serve", "req", request.id, 'f');
     }
     if (result.status.ok()) {
       obs::events().record(obs::ServeEvent::kComplete, request.id, total_us);
@@ -427,7 +424,7 @@ void Server::scheduler_loop() {
 void Server::flush(std::vector<PendingRequest>& batch) {
   const u64 batch_id = ++flush_seq_;
   const u64 flush_ns = now_ns();
-  const bool tracing = options_.engine.trace && obs::Tracer::enabled();
+  const bool tracing = obs::Tracer::enabled();
   if (tracing) {
     // Each request's queue wait, recorded retroactively by the scheduler on
     // its own thread (submit threads never touch the tracer, keeping its
@@ -450,8 +447,7 @@ void Server::flush(std::vector<PendingRequest>& batch) {
 
   obs::TraceSpan span("serve", "flush",
                       {{"requests", static_cast<i64>(batch.size())},
-                       {"batch", static_cast<i64>(batch_id)}},
-                      options_.engine.trace);
+                       {"batch", static_cast<i64>(batch_id)}});
   obs::metrics().counter("serve.flushes").add(1);
   obs::events().record(obs::ServeEvent::kFlush, 0,
                        static_cast<i64>(batch_id),
@@ -689,8 +685,7 @@ void Server::execute_run(InflightRun& run) {
     obs::TraceSpan span("serve", "batch_run",
                         {{"requests", static_cast<i64>(run.requests.size())},
                          {"rows", run.plan.rows},
-                         {"tier", static_cast<i64>(run.selected.tier)}},
-                        options_.engine.trace);
+                         {"tier", static_cast<i64>(run.selected.tier)}});
     if (FaultHooks* hooks = fault_hooks()) hooks->on_serve_batch(run.plan.rows);
     std::vector<const Tensor*> parts;
     parts.reserve(run.requests.size());
@@ -793,8 +788,7 @@ void Server::finish_run(InflightRun& run) {
   obs::events().record(obs::ServeEvent::kSoloFallback,
                        run.request_ids.front(),
                        static_cast<i64>(run.batch_id), occupancy);
-  obs::TraceSpan span("serve", "solo_fallback", {{"requests", occupancy}},
-                      options_.engine.trace);
+  obs::TraceSpan span("serve", "solo_fallback", {{"requests", occupancy}});
   for (size_t i = 0; i < run.requests.size(); ++i) {
     PendingRequest& request = run.requests[i];
     Result<BatchPlanner::Plan> solo = planner_.solo(i, request.rows);

@@ -1,7 +1,6 @@
 #include "testing/differential.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <exception>
 #include <iostream>
 #include <limits>
@@ -9,7 +8,6 @@
 
 #include "baselines/fused_graph.hpp"
 #include "core/engine.hpp"
-#include "obs/metrics.hpp"
 #include "testing/reference_eager.hpp"
 
 namespace brickdl {
@@ -108,39 +106,9 @@ struct DiffRun {
     return backend.read(result.output);
   }
 
-  /// Cold run (populates the plan cache) then warm run (must hit it): the
-  /// cache-backed twin of an engine variant. The warm output must be
-  /// bit-identical to the cold one — memcmp over the raw floats, stricter
-  /// than the elementwise tolerance (distinguishes ±0.0, compares NaNs).
-  Tensor engine_output_cached(EngineOptions eo, int backend_workers) {
-    eo.plan_cache_dir = o.plan_cache_dir;
-    const Tensor cold = engine_output(eo, backend_workers);
-    const i64 hits_before =
-        obs::metrics().counter("engine.plan_cache.hits").value();
-    const Tensor warm = engine_output(eo, backend_workers);
-    const i64 hits_after =
-        obs::metrics().counter("engine.plan_cache.hits").value();
-    if (hits_after <= hits_before) {
-      throw Error("plan cache: warm engine did not hit the cache");
-    }
-    if (cold.dims() != warm.dims() ||
-        std::memcmp(cold.data(), warm.data(),
-                    static_cast<size_t>(cold.elements()) * sizeof(float)) !=
-            0) {
-      throw Error("plan cache: warm output is not bit-identical to cold");
-    }
-    return warm;
-  }
-
-  /// Register an engine variant, plus its cache-backed twin when a plan
-  /// cache directory is configured.
   void engine_variant(const std::string& name, const EngineOptions& eo,
                       int backend_workers) {
     variant(name, [&] { return engine_output(eo, backend_workers); });
-    if (!o.plan_cache_dir.empty()) {
-      variant(name + "-cache",
-              [&] { return engine_output_cached(eo, backend_workers); });
-    }
   }
 
   void run_all() {

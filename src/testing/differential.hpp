@@ -30,12 +30,6 @@ struct DiffOptions {
   /// ("memo-par-…"), padded bricks and vendor tiles ("…-par" twins).
   bool memo_parallel = true;
   double tolerance = 0.0;        ///< max |got − oracle| allowed (0 = bit-exact)
-  /// Non-empty: add cache-backed twin variants ("…-cache") that run each
-  /// engine configuration twice through a plan cache rooted here — the cold
-  /// run populates, the warm run must hit (`engine.plan_cache.hits` counter
-  /// delta ≥ 1) and produce a bit-identical output (memcmp, stricter than
-  /// tolerance 0), which is then also checked against the oracle.
-  std::string plan_cache_dir;
   /// Run only variants whose name contains this substring (replay filter).
   std::string variant_filter;
   GraphGenOptions gen;

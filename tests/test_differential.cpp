@@ -11,10 +11,8 @@
 // The sweep is sharded so one bad graph fails one test with its replay line
 // instead of hiding the remaining graphs.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstring>
-#include <filesystem>
 #include <string>
 
 #include "graph/halo.hpp"
@@ -380,40 +378,6 @@ TEST(FastPathPerf, EmptyAndWholeInteriorPool) {
                              /*margin=*/0, /*seed=*/13, "empty-interior-pool");
   expect_fast_path_bit_exact(g, p, Dims::filled(out.rank(), 0), out,
                              /*margin=*/3, /*seed=*/13, "whole-interior-pool");
-}
-
-// Cache-backed twins (DESIGN.md §15): every engine variant re-run through a
-// persistent plan cache — the cold pass populates it, the warm pass must hit
-// (`engine.plan_cache.hits` delta ≥ 1) and reproduce the cold output
-// bit-identically (memcmp), which is then also checked against the oracle.
-// A reduced matrix keeps this shard proportionate; the full cross-product's
-// plans are covered by the main sweep it twins.
-TEST(Differential, PlanCacheTwinsBitIdentical) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("brickdl_diff_plan_cache_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-
-  DiffOptions options;
-  options.plan_cache_dir = dir.string();
-  options.variant_filter = "cache";
-  options.brick_sides = {8};
-  options.worker_counts = {2};
-  options.kernel_reference = false;
-  options.fused_baselines = false;
-  options.memo_parallel = false;
-  for (int idx = 0; idx < 4; ++idx) {
-    const std::vector<DiffFailure> failures =
-        run_differential(kSweepSeed, idx, options);
-    for (const DiffFailure& f : failures) {
-      ADD_FAILURE() << "graph " << idx << " variant " << f.variant << ": "
-                    << f.detail << "\n  replay: brickdl_fuzz " << f.replay;
-    }
-  }
-
-  std::error_code ec;
-  fs::remove_all(dir, ec);
 }
 
 TEST(Differential, GeneratorIsDeterministic) {

@@ -782,7 +782,6 @@ TEST(ServeTelemetry, TraceLinksRequestsAcrossStagesByFlowId) {
   ServeOptions opts;
   opts.max_batch = 4;
   opts.max_wait_us = 2000;
-  opts.engine.trace = true;
   constexpr int kRequests = 6;
   WeightStore ws(kWeightSeed);
   {

@@ -18,16 +18,13 @@
 //     --report[=PATH]  profiled BrickDL run; write the predicted-vs-observed
 //                      run report JSON (default report.json) and print the
 //                      comparison table
-//     --plan-cache DIR     persistent plan cache (DESIGN.md §15): warm-start
-//                      the engine's partition from DIR, store on a miss
 //     --calibration PATH   load a brickdl-calibration-v1 JSON and plan with
 //                      the fitted cost-model constants
 //     --calibrate-out PATH profiled BrickDL run; fit the cost-model constants
 //                      from this run's report and write the
 //                      brickdl-calibration-v1 JSON (with residuals) to PATH
 //     --metrics-out PATH   write a brickdl-metrics-v1 snapshot of the metrics
-//                      registry after the profiled run (plan-cache counters
-//                      land here)
+//                      registry after the profiled run
 //
 // Performance numbers come from the simulated A100 (see DESIGN.md §2).
 #include <cstdio>
@@ -38,7 +35,6 @@
 
 #include "baselines/fused_graph.hpp"
 #include "core/engine.hpp"
-#include "core/plan_cache.hpp"
 #include "graph/rewrite.hpp"
 #include "graph/serialize.hpp"
 #include "models/models.hpp"
@@ -61,7 +57,6 @@ struct Options {
   bool fuse = true;
   std::string trace_path;   ///< --trace: Chrome-trace output (empty = off)
   std::string report_path;  ///< --report: run-report JSON output (empty = off)
-  std::string plan_cache_dir;     ///< --plan-cache (empty = off)
   std::string calibration_path;   ///< --calibration: constants to load
   std::string calibrate_out;      ///< --calibrate-out: fit output (empty = off)
   std::string metrics_out;        ///< --metrics-out: snapshot output
@@ -134,9 +129,9 @@ int usage() {
                "                   [--system cudnn|torchscript|xla|brickdl|all]"
                " [--partition] [--dot] [--no-fuse]\n"
                "                   [--trace[=t.json]] [--report[=r.json]]\n"
-               "                   [--plan-cache DIR] [--calibration c.json]\n"
-               "                   [--calibrate-out c.json] "
-               "[--metrics-out m.json]\n"
+               "                   [--calibration c.json] "
+               "[--calibrate-out c.json]\n"
+               "                   [--metrics-out m.json]\n"
                "models: resnet50 drn26 resnet34_3d darknet53 vgg16 deepcam "
                "inception_v4\n");
   return 2;
@@ -187,19 +182,36 @@ int main(int argc, char** argv) {
   opts.config.spatial = 224;
   opts.config.width_div = 1;
 
+  bool bad_value = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Empty string (never nullptr) when the value is missing, so the parses
+    // below stay crash-free; the flag loop then falls out to usage().
     auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+      if (i + 1 < argc) return argv[++i];
+      bad_value = true;
+      return "";
+    };
+    // Sizes must be positive integers: a zero from garbage text would divide
+    // by zero in the model builders.
+    auto positive = [&]() -> long {
+      const char* text = next();
+      char* end = nullptr;
+      const long v = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || v <= 0) bad_value = true;
+      return v;
     };
     if (arg == "--batch") {
-      opts.config.batch = std::atol(next());
+      opts.config.batch = positive();
     } else if (arg == "--spatial") {
-      opts.config.spatial = std::atol(next());
+      opts.config.spatial = positive();
     } else if (arg == "--width-div") {
-      opts.config.width_div = std::atol(next());
+      opts.config.width_div = positive();
     } else if (arg == "--system") {
       opts.system = next();
+      bad_value |= opts.system != "cudnn" && opts.system != "torchscript" &&
+                   opts.system != "xla" && opts.system != "brickdl" &&
+                   opts.system != "all";
     } else if (arg == "--partition") {
       opts.partition_only = true;
     } else if (arg == "--dot") {
@@ -212,26 +224,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--report" || arg.rfind("--report=", 0) == 0) {
       opts.report_path =
           arg.size() > 9 ? arg.substr(9) : std::string("report.json");
-    } else if (arg == "--plan-cache") {
-      const char* value = next();
-      if (!value) return usage();
-      opts.plan_cache_dir = value;
     } else if (arg == "--calibration") {
-      const char* value = next();
-      if (!value) return usage();
-      opts.calibration_path = value;
+      opts.calibration_path = next();
     } else if (arg == "--calibrate-out") {
-      const char* value = next();
-      if (!value) return usage();
-      opts.calibrate_out = value;
+      opts.calibrate_out = next();
     } else if (arg == "--metrics-out") {
-      const char* value = next();
-      if (!value) return usage();
-      opts.metrics_out = value;
+      opts.metrics_out = next();
     } else {
       return usage();
     }
   }
+  if (bad_value) return usage();
 
   Graph graph("empty");
   if (!opts.model.empty() && opts.model[0] == '@') {
@@ -279,7 +282,6 @@ int main(int argc, char** argv) {
   }
   if (opts.partition_only) {
     EngineOptions eopts;
-    eopts.plan_cache_dir = opts.plan_cache_dir;
     eopts.partition.calibration = calibration;
     Engine engine(brickdl_graph, eopts);
     std::printf("\n%s", engine.partition().describe(brickdl_graph).c_str());
@@ -293,8 +295,7 @@ int main(int argc, char** argv) {
 
   const bool profiled_run =
       !opts.trace_path.empty() || !opts.report_path.empty() ||
-      !opts.calibrate_out.empty() || !opts.metrics_out.empty() ||
-      !opts.plan_cache_dir.empty();
+      !opts.calibrate_out.empty() || !opts.metrics_out.empty();
   if (profiled_run) {
     // Profiled run: one BrickDL engine pass with the §4 cost model running
     // alongside, tracing enabled for its duration.
@@ -302,7 +303,6 @@ int main(int argc, char** argv) {
     obs::Tracer::instance().set_enabled(!opts.trace_path.empty());
     EngineOptions eopts;
     eopts.profile = true;
-    eopts.plan_cache_dir = opts.plan_cache_dir;
     eopts.partition.calibration = calibration;
     MemoryHierarchySim sim(MachineParams::a100());
     ModelBackend backend(brickdl_graph, sim);

@@ -32,8 +32,6 @@ void usage() {
          "  --max-ops N     cap on generated ops per graph (default 8)\n"
          "  --min-spatial N lower bound on input spatial extents (default 8)\n"
          "  --max-spatial N upper bound on input spatial extents (default 18)\n"
-         "  --plan-cache D  add the cache-backed \"-cache\" twin variants,\n"
-         "                  persisting plans under directory D\n"
          "  --dump          print the generated graph(s) before running\n"
          "  --quiet         suppress per-graph progress lines\n";
 }
@@ -86,8 +84,6 @@ int main(int argc, char** argv) {
       graph_idx = static_cast<int>(as_i64());
     } else if (arg == "--variant") {
       options.variant_filter = value();
-    } else if (arg == "--plan-cache") {
-      options.plan_cache_dir = value();
     } else if (arg == "--tolerance") {
       options.tolerance =
           number([](const std::string& s, size_t* p) { return std::stod(s, p); });

@@ -11,7 +11,7 @@
 // artifact is well-formed; bench/smoke_report.sh and the `obs_smoke` CTest
 // drive this against fresh brickdl_cli output,
 // bench/smoke_serve_telemetry.sh against brickdl_serve output, and
-// bench/smoke_plan_cache.sh against the calibration emitted by
+// bench/smoke_calibration.sh against the calibration emitted by
 // `brickdl_cli --calibrate-out`.
 #include <cstdio>
 #include <string>

@@ -56,8 +56,6 @@
 //                       records into DIR
 //     --json F          (overload mode) write machine-readable capacity +
 //                       per-class latency stats (brickdl-serve-bench-v1)
-//     --plan-cache DIR  warm-start batch-plan engines from DIR (persistent
-//                       plan cache; cold runs populate it)
 //     --calibration F   load brickdl-calibration-v1 constants and plan with
 //                       the calibrated cost model
 //
@@ -130,7 +128,7 @@ int usage() {
                "  [--seed N] [--fast] [--trace[=serve_trace.json]]\n"
                "  [--events[=serve_events.json]] [--metrics-out FILE]\n"
                "  [--prom FILE] [--flight-dir DIR] [--json FILE]\n"
-               "  [--plan-cache DIR] [--calibration FILE]\n"
+               "  [--calibration FILE]\n"
                "trace file: `<offset_us> <rows> [<seed>]` per line, "
                "# comments\n");
   return 2;
@@ -588,10 +586,9 @@ int main(int argc, char** argv) {
       opts.flight_dir = next();
     } else if (arg == "--json") {
       opts.json_path = next();
-    } else if (arg == "--plan-cache") {
-      opts.serve.engine.plan_cache_dir = next();
     } else if (arg == "--calibration") {
       const std::string path = next();
+      if (missing_value) return usage();
       std::ifstream in(path);
       std::ostringstream text;
       text << in.rdbuf();

@@ -12,9 +12,7 @@
 #                         tables shared by real worker threads, the serving
 #                         runner-pool/scheduler handoff), the
 #                         partitioner property suite (shared metrics
-#                         registry traffic), the plan-cache suite
-#                         (concurrent warm-start readers racing a writer
-#                         through the atomic tmp+rename publish), and the
+#                         registry traffic), and the
 #                         simulator suite (the A100 L2 on set-sharded
 #                         threads: probe rings, drain points, shutdown),
 #                         and the activation-lifetime tests (storage
@@ -25,10 +23,9 @@
 #                         storage is poisoned, so reading a dead activation
 #                         trips ASan),
 #                         plus the resilience, observability, serving,
-#                         partition, plan-cache and simulator suites
-#                         (includes the malformed-parse corpus, JSON
-#                         parse-back, and the poisoned-cache-entry rejection
-#                         paths).
+#                         partition and simulator suites
+#                         (includes the malformed-parse corpus and JSON
+#                         parse-back).
 #   3. Release (-O3 -DNDEBUG): the differential + perf (fast-path vs generic
 #                         kernel) + obs (unit suite plus the CLI and
 #                         serving-telemetry end-to-end smokes, which validate
@@ -53,39 +50,38 @@ STAGES=${STAGES:-"tsan asan release"}
 run_stage() { [[ " $STAGES " == *" $1 "* ]]; }
 
 if run_stage tsan; then
-  echo "== [tsan] ThreadSanitizer: memoized / thread-pool / engine-pool / resilience / obs / serve / pipeline / partition / plan-cache / sim / activation-lifetime =="
+  echo "== [tsan] ThreadSanitizer: memoized / thread-pool / engine-pool / resilience / obs / serve / pipeline / partition / sim / activation-lifetime =="
   cmake -B "$SRC_DIR/build-tsan" -S "$SRC_DIR" -DBRICKDL_SANITIZE=thread
   cmake --build "$SRC_DIR/build-tsan" -j "$JOBS" \
         --target brickdl_tests --target brickdl_resilience_tests \
         --target brickdl_obs_tests --target brickdl_serve_tests \
         --target brickdl_pipeline_tests --target brickdl_partition_tests \
-        --target brickdl_plan_cache_tests --target brickdl_sim_tests
+        --target brickdl_sim_tests
   ctest --test-dir "$SRC_DIR/build-tsan" --output-on-failure --timeout 600 \
-        -R 'MemoizedExecutor|ThreadPool|EnginePool|Resilience|Obs|Serve|Pipeline|PartitionerProperties|PlanCache|MemSimShards|SimGolden|ActivationLifetime'
+        -R 'MemoizedExecutor|ThreadPool|EnginePool|Resilience|Obs|Serve|Pipeline|PartitionerProperties|MemSimShards|SimGolden|ActivationLifetime'
 fi
 
 if run_stage asan; then
-  echo "== [asan] ASan+UBSan: differential fuzz + resilience + obs + serve + pipeline + partition + plan-cache + sim + activation-lifetime suites =="
+  echo "== [asan] ASan+UBSan: differential fuzz + resilience + obs + serve + pipeline + partition + sim + activation-lifetime suites =="
   cmake -B "$SRC_DIR/build-asan" -S "$SRC_DIR" -DBRICKDL_SANITIZE=address,undefined
   cmake --build "$SRC_DIR/build-asan" -j "$JOBS" \
         --target brickdl_tests \
         --target brickdl_differential_tests --target brickdl_resilience_tests \
         --target brickdl_obs_tests --target brickdl_serve_tests \
         --target brickdl_pipeline_tests --target brickdl_partition_tests \
-        --target brickdl_plan_cache_tests --target brickdl_sim_tests \
+        --target brickdl_sim_tests \
         --target mb_kernels \
         --target brickdl_serve --target brickdl_report_check
-  # obs_smoke and plan_cache_smoke (the CLI end-to-end runs) are excluded:
+  # obs_smoke and calibration_smoke (the CLI end-to-end runs) are excluded:
   # they need the CLI binaries and are far too slow under ASan; the unit
   # suites cover the same code paths. perf = the fast-path-vs-generic kernel
   # sweeps + mb_kernels smoke: cheap, and exactly where an interior-loop
   # indexing bug would surface. partition adds the partitioner property
-  # sweep; plan_cache adds the cold/warm parity and
-  # cache-poisoning suite; sim adds the golden counters and the sharded-L2
-  # differential test.
+  # sweep; sim adds the golden counters and the sharded-L2 differential
+  # test.
   ctest --test-dir "$SRC_DIR/build-asan" --output-on-failure --timeout 600 \
-        -L 'differential|resilience|obs|perf|serve|pipeline|partition|plan_cache|sim' \
-        -E 'obs_smoke|plan_cache_smoke'
+        -L 'differential|resilience|obs|perf|serve|pipeline|partition|sim' \
+        -E 'obs_smoke|calibration_smoke'
   # From the main suite: the window-copy property tests (the row-wise gather
   # and scatter copies clip and zero-fill against tensor and brick bounds),
   # the activation-lifetime tests (runs over poisoned recycled storage, and
@@ -108,9 +104,9 @@ if run_stage release; then
   # perf includes serve_overload_smoke: the open-loop overload run (bounded
   # queue, shed taxonomy, drain) at the optimization level serving ships at.
   # obs adds the unit suite plus obs_smoke, serve_telemetry_smoke, and
-  # plan_cache_smoke — the end-to-end artifact checks (trace flow links,
-  # Prometheus/JSONL export, event log, flight records, plan-cache cold/warm
-  # parity + calibration fit) run at Release speed, where they are cheap.
+  # calibration_smoke — the end-to-end artifact checks (trace flow links,
+  # Prometheus/JSONL export, event log, flight records, calibration fit and
+  # apply) run at Release speed, where they are cheap.
   ctest --test-dir "$SRC_DIR/build-release" --output-on-failure --timeout 600 \
         -L 'differential|perf|obs'
 fi
