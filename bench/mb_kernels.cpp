@@ -1,9 +1,10 @@
 // Kernel-hot-loop microbenchmark (ISSUE 4): measures the three layers of the
 // merged-execution fast path in isolation —
 //   * conv/pool interior fast path vs the generic clamping path (conv:
-//     3x3, 1x1 and 3x3 stride 2, the shapes of the vector micro-kernel), on a
-//     brick-sized region with enough halo that the interior covers the whole
-//     output (the merged-execution steady state);
+//     3x3, 1x1 and 3x3 stride 2), on a region with enough halo that the
+//     interior covers the whole output (the merged-execution steady state),
+//     plus single 4x4 bricks shaped like ResNet-50 res3/res4 layers; conv
+//     rows also report the fast path's GFLOP/s;
 //   * the same kernels on an exact window, where boundary slabs run through
 //     the generic code (the brick-edge case);
 //   * ThreadPool::parallel_for dispatch overhead across grain sizes.
@@ -34,6 +35,7 @@ struct Result {
   std::string name;
   double ns_per_call = 0.0;
   i64 calls = 0;
+  double gflops = 0.0;  // conv rows only
 };
 
 /// Median-of-3 timing of `calls` invocations of `fn` (one untimed warmup).
@@ -86,13 +88,14 @@ struct StencilCase {
   }
 };
 
-/// A k×k convolution with stride `stride` and "same" padding (k/2).
+/// A k×k convolution from `ch` to `out_ch` channels (default `ch`) with
+/// stride `stride` and "same" padding (k/2).
 StencilCase make_conv(i64 ch, i64 side, i64 margin, i64 k = 3,
-                      i64 stride = 1) {
+                      i64 stride = 1, i64 out_ch = 0) {
   StencilCase c;
   const int x = c.g.add_input("in", Shape{1, ch, side, side});
-  c.node_id = c.g.add_conv(x, "conv", Dims{k, k}, ch, Dims{stride, stride},
-                           Dims{k / 2, k / 2});
+  c.node_id = c.g.add_conv(x, "conv", Dims{k, k}, out_ch > 0 ? out_ch : ch,
+                           Dims{stride, stride}, Dims{k / 2, k / 2});
   c.finish(margin, /*seed=*/21);
   return c;
 }
@@ -137,10 +140,18 @@ bool bench_pair(const StencilCase& c, const std::string& label, i64 calls,
   }
   const double fast_ns = time_ns_per_call(run_fast, calls);
   const double gen_ns = time_ns_per_call(run_generic, calls);
-  out->push_back({label + "/fast", fast_ns, calls});
-  out->push_back({label + "/generic", gen_ns, calls});
-  std::printf("%-28s fast %10.0f ns  generic %10.0f ns  speedup %5.2fx\n",
+  // Conv flops: one multiply and one add per (output, tap, group channel).
+  const double flops =
+      is_conv ? 2.0 * static_cast<double>(c.out_elems) *
+                    static_cast<double>(node.weight_elements() /
+                                        node.attrs.out_channels)
+              : 0.0;
+  out->push_back({label + "/fast", fast_ns, calls, flops / fast_ns});
+  out->push_back({label + "/generic", gen_ns, calls, flops / gen_ns});
+  std::printf("%-28s fast %10.0f ns  generic %10.0f ns  speedup %6.2fx",
               label.c_str(), fast_ns, gen_ns, gen_ns / fast_ns);
+  if (is_conv) std::printf("  %6.2f GFLOP/s", flops / fast_ns);
+  std::printf("\n");
   return true;
 }
 
@@ -179,10 +190,13 @@ void write_json(const std::string& path, bool quick,
   for (size_t i = 0; i < results.size(); ++i) {
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"ns_per_call\": %.1f, "
-                 "\"calls\": %lld}%s\n",
+                 "\"calls\": %lld",
                  results[i].name.c_str(), results[i].ns_per_call,
-                 static_cast<long long>(results[i].calls),
-                 i + 1 < results.size() ? "," : "");
+                 static_cast<long long>(results[i].calls));
+    if (results[i].gflops > 0.0) {
+      std::fprintf(f, ", \"gflops\": %.2f", results[i].gflops);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -226,6 +240,15 @@ int main(int argc, char** argv) {
                    &results);
   ok &= bench_pair(make_conv(ch, side, 1, /*k=*/3, /*stride=*/2),
                    "conv3x3s2/interior", calls, &results);
+  // One 4x4 brick of a res3/res4 layer (width/4 ResNet-50 channel counts),
+  // with the halo the merged executors gather: what one per-brick kernel
+  // call costs on the host path.
+  ok &= bench_pair(make_conv(64, 4, 1), "res-brick/conv3x3-64", calls,
+                   &results);
+  ok &= bench_pair(make_conv(64, 4, 0, /*k=*/1, /*stride=*/1, 256),
+                   "res-brick/conv1x1-64to256", calls, &results);
+  ok &= bench_pair(make_conv(256, 4, 0, /*k=*/1, /*stride=*/1, 64),
+                   "res-brick/conv1x1-256to64", calls, &results);
   ok &= bench_pair(make_pool(ch, side, 1), "pool3x3/interior", calls,
                    &results);
   ok &= bench_pair(make_pool(ch, side, 0), "pool3x3/boundary", calls,

@@ -36,7 +36,10 @@ bool needs_exact_window(OpKind kind) {
 
 NumericBackend::NumericBackend(const Graph& graph, WeightStore& weights,
                                int workers)
-    : Backend(graph), weights_(weights), workers_(workers) {
+    : Backend(graph),
+      weights_(weights),
+      node_weights_(static_cast<size_t>(graph.num_nodes())),
+      workers_(workers) {
   BDL_CHECK(workers >= 1);
   slots_.resize(static_cast<size_t>(workers));
   region_inputs_.resize(static_cast<size_t>(workers));
@@ -165,6 +168,22 @@ void NumericBackend::free_slot(int worker, SlotId slot_id) {
   slot.data = {};
 }
 
+std::span<const float> NumericBackend::node_weights(int node_id) {
+  const Node& node = graph_.node(node_id);
+  const i64 elements = node.weight_elements();
+  if (elements == 0) return {};
+  // Racing first lookups store the same pointer: the store keeps one
+  // tensor per node.
+  std::atomic<const float*>& cached =
+      node_weights_[static_cast<size_t>(node_id)];
+  const float* data = cached.load(std::memory_order_acquire);
+  if (data == nullptr) {
+    data = weights_.weights(node).data();
+    cached.store(data, std::memory_order_release);
+  }
+  return {data, static_cast<size_t>(elements)};
+}
+
 SlotId NumericBackend::compute(int worker, int node_id,
                                const std::vector<SlotId>& inputs,
                                const Dims& out_lo, const Dims& out_extent,
@@ -214,7 +233,7 @@ SlotId NumericBackend::compute(int worker, int node_id,
   out.live = true;
   out.data = arena.alloc_zeroed(
       static_cast<size_t>(out.channels * out_extent.product()));
-  compute_region(node, region_inputs, weights_.weights(node), out_lo,
+  compute_region(node, region_inputs, node_weights(node_id), out_lo,
                  out_extent, out.data);
   if (mask_to_bounds) {
     mask_region_outside(out_lo, out_extent, out.channels,

@@ -16,6 +16,7 @@
 // we model is exactly the schedule whose numerics we test (DESIGN.md §2).
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -176,8 +177,12 @@ class NumericBackend final : public Backend {
 
   ScratchSlot& slot_ref(int worker, SlotId slot);
   SlotId new_slot(int worker);
+  /// weights_.weights() of the node, looked up in the store once per
+  /// backend: compute() runs per brick, and the store locks and hashes.
+  std::span<const float> node_weights(int node_id);
 
   WeightStore& weights_;
+  std::vector<std::atomic<const float*>> node_weights_;  // [node id]
   int workers_;
   std::vector<Buffer> buffers_;
   std::vector<std::vector<ScratchSlot>> slots_;  // [worker][slot]

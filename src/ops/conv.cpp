@@ -1,6 +1,7 @@
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
-#include <type_traits>
+#include <vector>
 
 #include "ops/region.hpp"
 #include "ops/region_interior.hpp"
@@ -30,10 +31,9 @@ void conv_box(const Node& node, const RegionInput& input,
               const Dims& out_extent, std::span<float> out) {
   const OpAttrs& a = node.attrs;
   const int spatial_rank = a.kernel.rank();
-  const i64 m_total = a.out_channels;
-  const i64 c_group = input.channels / a.groups;
-  const i64 m_group = m_total / a.groups;
-  const i64 taps = a.kernel.product();
+  const ConvWeightLayout layout(node);
+  const i64 c_group = layout.c_group;
+  const i64 m_group = layout.m_group;
   const i64 out_points = out_extent.product();
 
   const bool relu = a.fused_relu;
@@ -45,47 +45,30 @@ void conv_box(const Node& node, const RegionInput& input,
       out_rel[d] = abs[d] - out_lo[d];
     }
     const i64 point = out_extent.linear(out_rel);
-    for (i64 m = 0; m < m_total; ++m) {
+    for (i64 m = 0; m < a.out_channels; ++m) {
       const i64 g = m / m_group;
-      const float* w_m = weights.data() + m * c_group * taps;
+      const float* w_m = weights.data() + layout.index(m, 0, 0);
       double acc = 0.0;
-      if (!a.transposed) {
-        for_each_index(a.kernel, [&](const Dims& tap) {
-          Dims in_abs = abs;
-          for (int d = 0; d < spatial_rank; ++d) {
+      for_each_index(a.kernel, [&](const Dims& tap) {
+        Dims in_abs = abs;
+        for (int d = 0; d < spatial_rank; ++d) {
+          if (!a.transposed) {
             in_abs[d + 1] = abs[d + 1] * a.stride[d] - a.padding[d] +
                             a.dilation[d] * tap[d];
+            continue;
           }
-          const i64 t = a.kernel.linear(tap);
-          for (i64 cg = 0; cg < c_group; ++cg) {
-            acc += static_cast<double>(
-                       window_at(input, g * c_group + cg, in_abs)) *
-                   w_m[cg * taps + t];
-          }
-        });
-      } else {
-        // Transposed: output o accumulates in(i)·w(t) where o = i·s − p + d·t.
-        for_each_index(a.kernel, [&](const Dims& tap) {
-          Dims in_abs = abs;
-          bool valid = true;
-          for (int d = 0; d < spatial_rank && valid; ++d) {
-            const i64 numer =
-                abs[d + 1] + a.padding[d] - a.dilation[d] * tap[d];
-            if (numer % a.stride[d] != 0) {
-              valid = false;
-            } else {
-              in_abs[d + 1] = numer / a.stride[d];
-            }
-          }
-          if (!valid) return;
-          const i64 t = a.kernel.linear(tap);
-          for (i64 cg = 0; cg < c_group; ++cg) {
-            acc += static_cast<double>(
-                       window_at(input, g * c_group + cg, in_abs)) *
-                   w_m[cg * taps + t];
-          }
-        });
-      }
+          // Transposed: output o accumulates in(i)·w(t) where o = i·s − p + d·t.
+          const i64 numer = abs[d + 1] + a.padding[d] - a.dilation[d] * tap[d];
+          if (numer % a.stride[d] != 0) return;
+          in_abs[d + 1] = numer / a.stride[d];
+        }
+        const float* w_t = w_m + a.kernel.linear(tap) * c_group * m_group;
+        for (i64 cg = 0; cg < c_group; ++cg) {
+          acc += static_cast<double>(
+                     window_at(input, g * c_group + cg, in_abs)) *
+                 w_t[cg * m_group];
+        }
+      });
       float v = static_cast<float>(acc);
       if (relu && v < 0.0f) v = 0.0f;
       out[static_cast<size_t>(m * out_points + point)] = v;
@@ -95,11 +78,13 @@ void conv_box(const Node& node, const RegionInput& input,
 
 // --- Vectorized interior micro-kernel --------------------------------------
 //
-// A *strip* is kLanes consecutive output positions along the innermost
-// blocked dim. One micro-kernel call computes kBlockM output channels of one
-// group over kBlockStrips strips, all in registers: per (tap, group channel)
-// step it loads one input vector per strip and broadcasts one weight per
-// output channel.
+// One call computes kBlockM consecutive output channels of one group at a
+// block of output positions, one accumulator per position. Per (tap, group
+// channel) step it loads kBlockM contiguous weights (ConvWeightLayout),
+// widens them once, and does one FMA per position against that position's
+// input value, broadcast from a double copy of the input window. Every
+// position reads at its own offset, so any stride, dilation or region shape
+// runs the same code.
 //
 // Bit-exactness: every output keeps its own double accumulator and sees the
 // same summation sequence as conv_box — taps row-major, then group channels,
@@ -109,266 +94,278 @@ void conv_box(const Node& node, const RegionInput& input,
 // rounds exactly like the scalar multiply-then-add. Vectorizing across
 // positions and output channels never reorders any single output's sum.
 //
-// Written with GCC vector extensions. The ISA is chosen at load time
-// (target_clones), so the library needs no -march flag; the default clone
-// is portable SSE2 code. ThreadSanitizer builds compile only that clone:
-// TSan instruments the clones' ifunc resolver, which runs before the TSan
-// runtime is initialized and crashes.
+// Written with GCC vector extensions; the ISA is picked once at run time, so
+// the library needs no -march flag. Each ISA's position block keeps every
+// accumulator in a register (x86-64-v4: 16 positions in 16 of 32 zmm; v3: 4
+// in 8 of 16 ymm; portable default: 2 in 8 of 16 xmm). ThreadSanitizer
+// builds compile only the default kernel.
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
     !defined(__SANITIZE_THREAD__)
-#define BRICKDL_ISA_CLONES \
-  __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
-#else
-#define BRICKDL_ISA_CLONES
+#define BRICKDL_ISA_DISPATCH 1
 #endif
 
-typedef float f4 __attribute__((vector_size(16)));
 typedef float f8 __attribute__((vector_size(32)));
-typedef double d4 __attribute__((vector_size(32)));
-typedef int i4 __attribute__((vector_size(16)));
-typedef int i8 __attribute__((vector_size(32)));
+typedef double d8 __attribute__((vector_size(64)));
 
-constexpr int kLanes = 4;        // output positions per strip
-constexpr int kBlockM = 4;       // output channels per micro-kernel call
-constexpr int kBlockStrips = 4;  // strips per micro-kernel call
+constexpr i64 kBlockM = 8;       // output channels per accumulator
+constexpr int kMaxBlockP = 16;   // positions per call on the widest ISA
+constexpr i64 kWidenCap = 8192;  // doubles of widened input per band
 
-/// Operands of one micro-kernel call. Offsets are in floats.
-struct StripBlock {
-  const float* in;    // first input channel of the group
-  i64 in_points;      // floats per input channel
-  const float* w;     // weights of the block's first output channel
-  i64 w_stride;       // floats per output channel of weights (c_group * taps)
+/// Operands of one micro-kernel call. Offsets are in elements.
+struct ConvBlock {
+  const double* in;  // widened input of the group, first channel
+  i64 in_points;     // doubles per widened input channel
   const i64* tap_off;
   i64 taps;
   i64 c_group;
-  float* out;         // block's first output channel
-  i64 out_points;     // floats per output channel
+  const float* w;    // weight of the block's first channel at (tap 0, c 0)
+  i64 m_group;       // floats per (tap, channel) step of the weights
+  float* out;        // block's first output channel
+  i64 out_points;    // floats per output channel
   bool relu;
-  i64 lanes;          // leading lanes of each strip stored (<= kLanes)
-  i64 in_off[kBlockStrips];   // input offset where each strip's load starts
-  int shift[kBlockStrips];    // first lane's position within that load
-  i64 out_off[kBlockStrips];  // output offset of each strip's first lane
+  i64 in_off[kMaxBlockP];   // input offset of each position at tap 0
+  i64 out_off[kMaxBlockP];  // output offset of each position
 };
 
-/// A strip loads kLanes floats (stride 1) or 2*kLanes floats of which it
-/// keeps every other one (stride 2). A load that would run past the end of
-/// the input channel starts `shift` floats early instead, and the lanes are
-/// picked from it by a per-strip permutation (kShifted; stride 2 always
-/// permutes, which costs what a fixed even-lane shuffle does).
-template <int kStride, bool kShifted>
-[[gnu::always_inline]] inline void strip_block(const StripBlock& b) {
-  static_assert(kStride == 1 || (kStride == 2 && kShifted));
-  using Sel = std::conditional_t<kStride == 1, i4, i8>;
-  Sel sel[kBlockStrips];
-  for (int q = 0; q < kBlockStrips; ++q) {
-    for (int j = 0; j < kStride * kLanes; ++j) {
-      sel[q][j] = std::min(j * kStride + b.shift[q], kStride * kLanes - 1);
-    }
-  }
-  d4 acc[kBlockM][kBlockStrips] = {};
+template <int kP>
+[[gnu::always_inline]] inline void conv_block(const ConvBlock& b) {
+  d8 acc[kP] = {};
+  const float* w = b.w;
   for (i64 t = 0; t < b.taps; ++t) {
-    const float* in_t = b.in + b.tap_off[t];
-    const float* w_t = b.w + t;
-    for (i64 cg = 0; cg < b.c_group; ++cg) {
-      const float* in_c = in_t + cg * b.in_points;
-      d4 x[kBlockStrips];
-      for (int q = 0; q < kBlockStrips; ++q) {
-        f4 v;
-        if constexpr (kStride == 1) {
-          std::memcpy(&v, in_c + b.in_off[q], sizeof v);
-          if constexpr (kShifted) v = __builtin_shuffle(v, sel[q]);
-        } else {
-          f8 pair;
-          std::memcpy(&pair, in_c + b.in_off[q], sizeof pair);
-          pair = __builtin_shuffle(pair, sel[q]);
-          v = __builtin_shufflevector(pair, pair, 0, 1, 2, 3);
-        }
-        x[q] = __builtin_convertvector(v, d4);
-      }
-      const float* w_c = w_t + cg * b.taps;
-      for (int m = 0; m < kBlockM; ++m) {
-        const double w = w_c[m * b.w_stride];
-        for (int q = 0; q < kBlockStrips; ++q) acc[m][q] += x[q] * w;
-      }
+    const double* in_t = b.in + b.tap_off[t];
+    for (i64 c = 0; c < b.c_group; ++c, w += b.m_group) {
+      f8 wf;
+      std::memcpy(&wf, w, sizeof wf);
+      const d8 wd = __builtin_convertvector(wf, d8);
+      const double* x = in_t + c * b.in_points;
+      for (int p = 0; p < kP; ++p) acc[p] += x[b.in_off[p]] * wd;
     }
   }
-  for (int m = 0; m < kBlockM; ++m) {
-    float* out_m = b.out + m * b.out_points;
-    for (int q = 0; q < kBlockStrips; ++q) {
-      f4 v = __builtin_convertvector(acc[m][q], f4);
-      // Same predicate as the scalar path (keeps -0.0 and NaN).
-      if (b.relu) v = v < 0.0f ? f4{} : v;
-      if (b.lanes == kLanes) {
-        std::memcpy(out_m + b.out_off[q], &v, sizeof v);
-      } else {
-        std::memcpy(out_m + b.out_off[q], &v,
-                    static_cast<size_t>(b.lanes) * sizeof(float));
-      }
-    }
+  for (int p = 0; p < kP; ++p) {
+    f8 v = __builtin_convertvector(acc[p], f8);
+    // Same predicate as the scalar path (keeps -0.0 and NaN).
+    if (b.relu) v = v < 0.0f ? f8{} : v;
+    float* o = b.out + b.out_off[p];
+    for (int m = 0; m < kBlockM; ++m) o[m * b.out_points] = v[m];
   }
 }
 
-BRICKDL_ISA_CLONES void strip_block_s1(const StripBlock& b) {
-  strip_block<1, false>(b);
+struct Microkernel {
+  int positions;
+  void (*run)(const ConvBlock&);
+};
+
+#ifdef BRICKDL_ISA_DISPATCH
+[[gnu::target("arch=x86-64-v4")]] void conv_block_v4(const ConvBlock& b) {
+  conv_block<16>(b);
 }
-BRICKDL_ISA_CLONES void strip_block_s1_shifted(const StripBlock& b) {
-  strip_block<1, true>(b);
+[[gnu::target("arch=x86-64-v3")]] void conv_block_v3(const ConvBlock& b) {
+  conv_block<4>(b);
 }
-BRICKDL_ISA_CLONES void strip_block_s2(const StripBlock& b) {
-  strip_block<2, true>(b);
+#endif
+void conv_block_default(const ConvBlock& b) { conv_block<2>(b); }
+
+const Microkernel& microkernel() {
+  static const Microkernel kernel = []() -> Microkernel {
+#ifdef BRICKDL_ISA_DISPATCH
+    if (__builtin_cpu_supports("x86-64-v4")) return {16, conv_block_v4};
+    if (__builtin_cpu_supports("x86-64-v3")) return {4, conv_block_v3};
+#endif
+    return {2, conv_block_default};
+  }();
+  return kernel;
+}
+
+/// Calls fn(in_row, out_row) for every row of the output box [lo, hi) (a
+/// row runs along the innermost blocked dim): in_row is the offset, in a
+/// window at `win_lo` with strides `in_stride`, that x = 0 of the row reads
+/// at tap 0, and out_row the output offset of x = 0.
+template <typename Fn>
+void for_each_row(const detail::StencilDim* dims, const Dims& win_lo,
+                  const i64* in_stride, const Dims& out_lo,
+                  const i64* out_stride, const Dims& lo, const Dims& hi,
+                  Fn&& fn) {
+  const int last = lo.rank() - 1;
+  i64 idx[Dims::kMaxRank];
+  for (int d = 0; d < last; ++d) idx[d] = lo[d];
+  while (true) {
+    i64 in_row = dims[last].base - win_lo[last];
+    i64 out_row = -out_lo[last];
+    for (int d = 0; d < last; ++d) {
+      in_row +=
+          (idx[d] * dims[d].scale + dims[d].base - win_lo[d]) * in_stride[d];
+      out_row += (idx[d] - out_lo[d]) * out_stride[d];
+    }
+    fn(in_row, out_row);
+    int d = last - 1;
+    for (; d >= 0; --d) {
+      if (++idx[d] < hi[d]) break;
+      idx[d] = lo[d];
+    }
+    if (d < 0) return;
+  }
+}
+
+/// The input box [*in_lo, *in_lo + *in_extent) that the output box
+/// [lo, hi) reads.
+void input_box(const detail::StencilDim* dims, const Dims& lo, const Dims& hi,
+               Dims* in_lo, Dims* in_extent) {
+  *in_lo = lo;
+  *in_extent = lo;
+  for (int d = 0; d < lo.rank(); ++d) {
+    const detail::StencilDim& s = dims[d];
+    const i64 span = s.tapc * (s.ktaps - 1);
+    (*in_lo)[d] = lo[d] * s.scale + s.base + std::min<i64>(span, 0);
+    (*in_extent)[d] = (hi[d] - 1 - lo[d]) * s.scale + std::abs(span) + 1;
+  }
+}
+
+/// Halves the output box [lo, hi) along its outermost dim longer than 1
+/// until each part's input box over `channels` channels fits kWidenCap
+/// doubles (or the part is one point); calls fn(lo, hi) per part.
+template <typename Fn>
+void for_each_band(const detail::StencilDim* dims, const Dims& lo,
+                   const Dims& hi, i64 channels, Fn&& fn) {
+  Dims in_lo, in_extent;
+  input_box(dims, lo, hi, &in_lo, &in_extent);
+  int split = 0;
+  while (split < lo.rank() && hi[split] - lo[split] == 1) ++split;
+  if (channels * in_extent.product() <= kWidenCap || split == lo.rank()) {
+    fn(lo, hi);
+    return;
+  }
+  Dims first_hi = hi, second_lo = lo;
+  first_hi[split] = second_lo[split] = lo[split] + (hi[split] - lo[split]) / 2;
+  for_each_band(dims, lo, first_hi, channels, fn);
+  for_each_band(dims, second_lo, hi, channels, fn);
 }
 
 /// Interior fast path: every tap of every point reads inside the input
 /// window, so the loops are hand-flattened with precomputed strides and
 /// per-tap input-offset deltas — no odometer, no per-tap validity checks.
-/// Strips of innermost stride 1 or 2 run through the vector micro-kernel;
-/// a group with fewer than kBlockM output channels and other strides take
-/// the scalar loop. A ragged row or channel tail reuses the last full strip
-/// or block shifted back to end at the boundary: the overlapped outputs are
-/// recomputed with identical bits.
+/// Groups of at least kBlockM output channels run through the vector
+/// micro-kernel; a channel tail reuses the last full block shifted back to
+/// end at the group's last channel (the overlapped outputs are recomputed
+/// with identical bits), and a partial position block repeats its last
+/// position. Smaller groups (depthwise included) take the scalar loop.
 /// Accumulation order per output element (taps row-major, then group
 /// channels) matches conv_box exactly, so results are bit-identical.
 void conv_interior(const Node& node, const RegionInput& input,
                    std::span<const float> weights,
-                   const detail::StencilDim* dims, const i64* ilo,
-                   const i64* ihi, const Dims& out_lo, const Dims& out_extent,
+                   const detail::StencilDim* dims, const Dims& ilo,
+                   const Dims& ihi, const Dims& out_lo, const Dims& out_extent,
                    std::span<float> out) {
   const OpAttrs& a = node.attrs;
   const int last = out_lo.rank() - 1;
-  const i64 c_group = input.channels / a.groups;
-  const i64 m_group = a.out_channels / a.groups;
-  const i64 taps = a.kernel.product();
-  const i64 in_points = input.extent.product();
+  const ConvWeightLayout layout(node);
+  const i64 c_group = layout.c_group;
+  const i64 m_group = layout.m_group;
+  const i64 taps = layout.taps;
   const i64 out_points = out_extent.product();
-
-  i64 in_stride[Dims::kMaxRank];
-  i64 out_stride[Dims::kMaxRank];
-  row_major_strides(input.extent, in_stride);
-  row_major_strides(out_extent, out_stride);
-  i64 tap_off[detail::kMaxInteriorTaps];
-  detail::tap_offsets(a.kernel, dims, in_stride, tap_off);
-
-  // Input offset of x = 0 and output offset of the row, per interior row.
   const i64 x_scale = dims[last].scale;
-  const i64 x_base = dims[last].base - input.lo[last];
-  auto for_each_row = [&](auto&& fn) {
-    i64 idx[Dims::kMaxRank];
-    for (int d = 0; d < last; ++d) idx[d] = ilo[d];
-    while (true) {
-      i64 in_row = x_base;
-      i64 out_row = -out_lo[last];
-      for (int d = 0; d < last; ++d) {
-        in_row += (idx[d] * dims[d].scale + dims[d].base - input.lo[d]) *
-                  in_stride[d];
-        out_row += (idx[d] - out_lo[d]) * out_stride[d];
-      }
-      fn(in_row, out_row);
-      int d = last - 1;
-      for (; d >= 0; --d) {
-        if (++idx[d] < ihi[d]) break;
-        idx[d] = ilo[d];
-      }
-      if (d < 0) return;
-    }
-  };
-
   const bool relu = a.fused_relu;
-  auto scalar = [&](i64 m, i64 in_row, i64 out_row, i64 x_lo, i64 x_hi) {
-    const i64 g = m / m_group;
-    const float* w_m = weights.data() + m * c_group * taps;
-    const float* in_g = input.data.data() + g * c_group * in_points;
-    float* out_m = out.data() + m * out_points;
-    for (i64 x = x_lo; x < x_hi; ++x) {
-      const i64 in_x = in_row + x * x_scale;
-      double acc = 0.0;
-      for (i64 t = 0; t < taps; ++t) {
-        const float* in_t = in_g + in_x + tap_off[t];
-        const float* w_t = w_m + t;
-        for (i64 cg = 0; cg < c_group; ++cg) {
-          acc += static_cast<double>(in_t[cg * in_points]) * w_t[cg * taps];
-        }
-      }
-      float v = static_cast<float>(acc);
-      if (relu && v < 0.0f) v = 0.0f;
-      out_m[out_row + x] = v;
-    }
-  };
+  i64 out_stride[Dims::kMaxRank];
+  row_major_strides(out_extent, out_stride);
+  i64 in_stride[Dims::kMaxRank];
+  i64 tap_off[detail::kMaxInteriorTaps];
 
-  const bool vector_ok = (x_scale == 1 || x_scale == 2) && m_group >= kBlockM;
-  if (!vector_ok) {
+  if (m_group < kBlockM) {
+    const i64 in_points = input.extent.product();
+    row_major_strides(input.extent, in_stride);
+    detail::tap_offsets(a.kernel, dims, in_stride, tap_off);
     for (i64 m = 0; m < a.out_channels; ++m) {
-      for_each_row([&](i64 in_row, i64 out_row) {
-        scalar(m, in_row, out_row, ilo[last], ihi[last]);
+      const float* w_m = weights.data() + layout.index(m, 0, 0);
+      const float* in_g =
+          input.data.data() + (m / m_group) * c_group * in_points;
+      float* out_m = out.data() + m * out_points;
+      for_each_row(dims, input.lo, in_stride, out_lo, out_stride, ilo, ihi,
+                   [&](i64 in_row, i64 out_row) {
+        for (i64 x = ilo[last]; x < ihi[last]; ++x) {
+          double acc = 0.0;
+          for (i64 t = 0; t < taps; ++t) {
+            const float* in_t = in_g + in_row + x * x_scale + tap_off[t];
+            const float* w_t = w_m + t * c_group * m_group;
+            for (i64 cg = 0; cg < c_group; ++cg) {
+              acc += static_cast<double>(in_t[cg * in_points]) *
+                     w_t[cg * m_group];
+            }
+          }
+          float v = static_cast<float>(acc);
+          if (relu && v < 0.0f) v = 0.0f;
+          out_m[out_row + x] = v;
+        }
       });
     }
     return;
   }
 
-  // A row shorter than a strip runs as one partial strip: its extra lanes
-  // read past the row and are never stored. A strip whose load would leave
-  // the input channel (at the window's end: a stride-2 strip loads 2*kLanes
-  // floats, a partial strip reads past its row) is shifted back; one that
-  // cannot be (a channel smaller than one load) takes the scalar loop.
-  const i64 row_len = ihi[last] - ilo[last];
-  const i64 lanes = std::min<i64>(row_len, kLanes);
-  const i64 min_tap_off = *std::min_element(tap_off, tap_off + taps);
-  const i64 max_tap_off = *std::max_element(tap_off, tap_off + taps);
-  const i64 strip_reach = x_scale == 1 ? kLanes : 2 * kLanes;
+  const Microkernel& kernel = microkernel();
+  // The widened input lives on the stack: a band's input box fits kWidenCap
+  // doubles unless a single output point reads more, which takes the heap.
+  alignas(64) double stack_widened[kWidenCap];
+  std::vector<double> heap_widened;
+  i64 src_stride[Dims::kMaxRank];
+  row_major_strides(input.extent, src_stride);
+  const i64 src_points = input.extent.product();
   for (i64 g = 0; g < a.groups; ++g) {
-    for (i64 mb = 0; mb < m_group; mb += kBlockM) {
-      const i64 m0 = g * m_group + std::min(mb, m_group - kBlockM);
-      StripBlock b;
-      b.in = input.data.data() + g * c_group * in_points;
-      b.in_points = in_points;
-      b.w = weights.data() + m0 * c_group * taps;
-      b.w_stride = c_group * taps;
-      b.tap_off = tap_off;
-      b.taps = taps;
-      b.c_group = c_group;
-      b.out = out.data() + m0 * out_points;
-      b.out_points = out_points;
-      b.relu = relu;
-      b.lanes = lanes;
-      int n = 0;
-      bool shifted = false;
-      auto flush = [&] {
-        // Pad a partial block by repeating its last strip.
-        for (int q = n; q < kBlockStrips; ++q) {
-          b.in_off[q] = b.in_off[n - 1];
-          b.shift[q] = b.shift[n - 1];
-          b.out_off[q] = b.out_off[n - 1];
+    for_each_band(dims, ilo, ihi, c_group, [&](const Dims& lo, const Dims& hi) {
+      // Widen the group's channels over the band's input box once.
+      Dims box_lo, box_extent;
+      input_box(dims, lo, hi, &box_lo, &box_extent);
+      const i64 box_points = box_extent.product();
+      double* widened = stack_widened;
+      if (c_group * box_points > kWidenCap) {
+        heap_widened.resize(static_cast<size_t>(c_group * box_points));
+        widened = heap_widened.data();
+      }
+      const float* src_g = input.data.data() + g * c_group * src_points;
+      const i64 width = box_extent[last];
+      Dims rows = box_extent;
+      rows[last] = 1;
+      i64 row = 0;
+      for_each_index(rows, [&](const Dims& r) {
+        i64 src = 0;
+        for (int d = 0; d <= last; ++d) {
+          src += (r[d] + box_lo[d] - input.lo[d]) * src_stride[d];
         }
-        if (x_scale == 2) {
-          strip_block_s2(b);
-        } else if (shifted) {
-          strip_block_s1_shifted(b);
-        } else {
-          strip_block_s1(b);
+        for (i64 c = 0; c < c_group; ++c) {
+          const float* s = src_g + c * src_points + src;
+          double* w = widened + c * box_points + row;
+          for (i64 i = 0; i < width; ++i) w[i] = s[i];
+        }
+        row += width;
+      });
+
+      row_major_strides(box_extent, in_stride);
+      detail::tap_offsets(a.kernel, dims, in_stride, tap_off);
+      ConvBlock b{.in = widened, .in_points = box_points, .tap_off = tap_off,
+                  .taps = taps, .c_group = c_group, .w = nullptr,
+                  .m_group = m_group, .out = nullptr, .out_points = out_points,
+                  .relu = relu, .in_off = {}, .out_off = {}};
+      int n = 0;
+      auto flush = [&] {
+        for (int p = n; p < kernel.positions; ++p) {
+          b.in_off[p] = b.in_off[n - 1];
+          b.out_off[p] = b.out_off[n - 1];
+        }
+        for (i64 mb = 0; mb < m_group; mb += kBlockM) {
+          const i64 m = g * m_group + std::min(mb, m_group - kBlockM);
+          b.w = weights.data() + layout.index(m, 0, 0);
+          b.out = out.data() + m * out_points;
+          kernel.run(b);
         }
         n = 0;
-        shifted = false;
       };
-      for_each_row([&](i64 in_row, i64 out_row) {
-        for (i64 x = ilo[last]; x < ihi[last]; x += kLanes) {
-          const i64 x0 = std::max(ilo[last], std::min(x, ihi[last] - kLanes));
-          const i64 in_off = in_row + x0 * x_scale;
-          const i64 shift =
-              std::max<i64>(0, in_off + max_tap_off + strip_reach - in_points);
-          if (in_off - shift + min_tap_off < 0) {
-            for (i64 m = m0; m < m0 + kBlockM; ++m) {
-              scalar(m, in_row, out_row, x0, x0 + lanes);
-            }
-            continue;
-          }
-          b.in_off[n] = in_off - shift;
-          b.shift[n] = static_cast<int>(shift);
-          b.out_off[n] = out_row + x0;
-          shifted = shifted || shift != 0;
-          if (++n == kBlockStrips) flush();
+      for_each_row(dims, box_lo, in_stride, out_lo, out_stride, lo, hi,
+                   [&](i64 in_row, i64 out_row) {
+        for (i64 x = lo[last]; x < hi[last]; ++x) {
+          b.in_off[n] = in_row + x * x_scale;
+          b.out_off[n] = out_row + x;
+          if (++n == kernel.positions) flush();
         }
       });
       if (n > 0) flush();
-    }
+    });
   }
 }
 
@@ -377,11 +374,10 @@ void conv_checks(const Node& node, const RegionInput& input,
                  const Dims& out_extent, std::span<float> out) {
   const OpAttrs& a = node.attrs;
   BDL_CHECK(out_lo.rank() == a.kernel.rank() + 1);
-  const i64 c_group = input.channels / a.groups;
   BDL_CHECK(static_cast<i64>(out.size()) >=
             a.out_channels * out_extent.product());
   BDL_CHECK(static_cast<i64>(weights.size()) >=
-            a.out_channels * c_group * a.kernel.product());
+            a.out_channels * (input.channels / a.groups) * a.kernel.product());
 }
 
 }  // namespace
@@ -432,7 +428,10 @@ void conv_region(const Node& node, const RegionInput& input,
              out);
     return;
   }
-  conv_interior(node, input, weights, dims, ilo, ihi, out_lo, out_extent, out);
+  Dims box_lo = out_lo, box_hi = out_lo;
+  for (int d = 0; d < rank; ++d) box_lo[d] = ilo[d], box_hi[d] = ihi[d];
+  conv_interior(node, input, weights, dims, box_lo, box_hi, out_lo, out_extent,
+                out);
   detail::for_each_boundary_slab(
       rank, out_lo, out_extent, ilo, ihi,
       [&](const Dims& slab_lo, const Dims& slab_extent) {

@@ -1,5 +1,6 @@
 #include "ops/dispatch.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/odometer.hpp"
@@ -90,29 +91,76 @@ void mask_region_outside(const Dims& lo, const Dims& extent, i64 channels,
   });
 }
 
+namespace {
+
+/// `node`'s weights in WeightStore order (conv weights as ConvWeightLayout
+/// says, other ops' as they are), where canonical element i is value(i).
+/// value is called in canonical order, and no canonical copy is made.
+template <typename Fn>
+Tensor in_storage_order(const Node& node, Fn&& value) {
+  Tensor stored(node.weight_dims);
+  if (node.kind != OpKind::kConv) {
+    for (i64 i = 0; i < stored.elements(); ++i) stored.flat(i) = value(i);
+    return stored;
+  }
+  const ConvWeightLayout layout(node);
+  i64 i = 0;
+  for (i64 m = 0; m < node.attrs.out_channels; ++m) {
+    for (i64 c = 0; c < layout.c_group; ++c) {
+      for (i64 t = 0; t < layout.taps; ++t) {
+        stored.flat(layout.index(m, c, t)) = value(i++);
+      }
+    }
+  }
+  return stored;
+}
+
+}  // namespace
+
 std::span<const float> WeightStore::weights(const Node& node) {
   if (node.weight_elements() == 0) return {};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = store_.find(node.name);
   if (it == store_.end()) {
-    auto tensor = std::make_unique<Tensor>(node.weight_dims);
     const u64 name_hash = std::hash<std::string>{}(node.name);
     Rng rng(seed_ ^ (name_hash * 0x2545f4914f6cdd1dULL));
-    if (node.kind == OpKind::kBatchNorm) {
-      // Interleaved per-channel (scale, shift).
-      for (i64 c = 0; c < node.weight_dims[0]; ++c) {
-        tensor->flat(c * 2) = rng.next_float(0.6f, 1.4f);
-        tensor->flat(c * 2 + 1) = rng.next_float(-0.2f, 0.2f);
-      }
-    } else {
-      // Fan-in scaling keeps deep-chain activations bounded.
-      const i64 fan_in = node.weight_elements() / node.weight_dims[0];
-      const float scale = 1.0f / std::sqrt(static_cast<float>(fan_in));
-      tensor->fill_random(rng, -scale, scale);
-    }
-    it = store_.emplace(node.name, std::move(tensor)).first;
+    // Fan-in scaling keeps deep-chain activations bounded. Batch norm draws
+    // interleaved per-channel (scale, shift).
+    const i64 fan_in = node.weight_elements() / node.weight_dims[0];
+    const float scale = 1.0f / std::sqrt(static_cast<float>(fan_in));
+    const bool batchnorm = node.kind == OpKind::kBatchNorm;
+    it = store_
+             .emplace(node.name,
+                      std::make_unique<Tensor>(in_storage_order(
+                          node,
+                          [&](i64 i) {
+                            if (!batchnorm) return rng.next_float(-scale, scale);
+                            return i % 2 == 0 ? rng.next_float(0.6f, 1.4f)
+                                              : rng.next_float(-0.2f, 0.2f);
+                          })))
+             .first;
   }
   return it->second->span();
+}
+
+Tensor WeightStore::canonical(const Node& node) {
+  const std::span<const float> stored = weights(node);
+  if (stored.empty()) return Tensor{};
+  Tensor out(node.weight_dims);
+  if (node.kind != OpKind::kConv) {
+    std::copy(stored.begin(), stored.end(), out.span().begin());
+    return out;
+  }
+  const ConvWeightLayout layout(node);
+  i64 i = 0;
+  for (i64 m = 0; m < node.attrs.out_channels; ++m) {
+    for (i64 c = 0; c < layout.c_group; ++c) {
+      for (i64 t = 0; t < layout.taps; ++t) {
+        out.flat(i++) = stored[static_cast<size_t>(layout.index(m, c, t))];
+      }
+    }
+  }
+  return out;
 }
 
 void WeightStore::set(const Node& node, const Tensor& values) {
@@ -120,8 +168,10 @@ void WeightStore::set(const Node& node, const Tensor& values) {
                 "weight size mismatch for " << node.name << ": expected "
                                             << node.weight_elements() << ", got "
                                             << values.elements());
+  auto stored = std::make_unique<Tensor>(
+      in_storage_order(node, [&](i64 i) { return values.flat(i); }));
   std::lock_guard<std::mutex> lock(mu_);
-  store_[node.name] = std::make_unique<Tensor>(values);
+  store_[node.name] = std::move(stored);
 }
 
 std::vector<float> canonical_to_region(const Tensor& t) {

@@ -17,21 +17,31 @@
 namespace brickdl {
 
 /// Deterministic per-node weight storage. Weights are created lazily, seeded
-/// by (store seed, node *name*), and scaled by fan-in so activations stay
-/// bounded through deep chains. Name-keyed seeding means graph rewrites that
+/// by (store seed, node *name*), drawn in canonical order, and scaled by
+/// fan-in so activations stay bounded through deep chains. Name-keyed seeding means graph rewrites that
 /// preserve node names (e.g. fuse_conv_pointwise) keep the same weights, so
 /// rewritten graphs are numerically comparable to their originals.
 class WeightStore {
  public:
   explicit WeightStore(u64 seed = 42) : seed_(seed) {}
 
-  /// Flattened weights of `node` (empty span if the op has none).
+  /// Flattened weights of `node` in storage order (empty span if the op has
+  /// none): conv weights as ConvWeightLayout says, every other op's in
+  /// Node::weight_dims order. The store keeps this one copy only; the region
+  /// kernels read it directly.
   /// Thread-safe: parallel executors first-touch weights concurrently.
   std::span<const float> weights(const Node& node);
 
-  /// Install explicit weights for the node named `name` (sizes must match
-  /// the node's weight_dims). Replaces any lazily generated values — this is
-  /// how real (non-random) parameters enter the library.
+  /// A copy of `node`'s weights in canonical Node::weight_dims order
+  /// ([M, C/groups, kernel...] for a conv), unpacked from storage. The
+  /// eager oracle reads weights through this, so a storage-layout bug shows
+  /// up as an oracle mismatch.
+  Tensor canonical(const Node& node);
+
+  /// Install explicit weights for the node named `name`, given in canonical
+  /// order (sizes must match the node's weight_dims). Replaces any lazily
+  /// generated values — this is how real (non-random) parameters enter the
+  /// library. Spans returned earlier for the node are invalidated.
   void set(const Node& node, const Tensor& values);
 
  private:

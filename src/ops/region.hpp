@@ -37,6 +37,28 @@ struct RegionInput {
   i64 channels = 0;
 };
 
+/// Where a conv node's weights live in storage. Node::weight_dims gives the
+/// canonical order [M, C/groups, kernel...]; storage keeps them
+/// output-channel-innermost, [group][tap][c][m] (c and m index the group's
+/// input and output channels), so the weights of consecutive output
+/// channels at one (tap, input channel) step are one contiguous read.
+struct ConvWeightLayout {
+  explicit ConvWeightLayout(const Node& node)
+      : m_group(node.attrs.out_channels / node.attrs.groups),
+        c_group(node.weight_dims[1]),
+        taps(node.attrs.kernel.product()) {}
+
+  /// Storage index of canonical weight w[m][c][tap] (m over all outputs).
+  i64 index(i64 m, i64 c, i64 tap) const {
+    const i64 g = m / m_group;
+    return ((g * taps + tap) * c_group + c) * m_group + (m - g * m_group);
+  }
+
+  i64 m_group;
+  i64 c_group;
+  i64 taps;
+};
+
 /// Compute the output window [out_lo, out_lo+out_extent) of `node` into
 /// `out` (laid out [out_channels, out_extent...]).
 ///
@@ -44,7 +66,9 @@ struct RegionInput {
 ///   input_window_blocked(node, out_lo, out_extent) — it may be larger.
 /// * Pointwise ops (kRelu, kSigmoid, kSoftmax, kBatchNorm, kAdd, kConcat)
 ///   take windows congruent with the output window.
-/// * `weights` is the node's flattened weight storage (empty if none).
+/// * `weights` is the node's flattened weight storage (empty if none), in
+///   WeightStore order: conv weights as ConvWeightLayout says, every other
+///   op's in Node::weight_dims order.
 i64 region_out_channels(const Node& node, std::span<const RegionInput> inputs);
 
 void compute_region(const Node& node, std::span<const RegionInput> inputs,

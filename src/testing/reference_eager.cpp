@@ -214,7 +214,7 @@ Tensor eager_node(const Graph& /*graph*/, const Node& node,
       break;
     case OpKind::kConv:
       BDL_CHECK(inputs.size() == 1);
-      return conv_eager(node, *inputs[0], weights.weights(node));
+      return conv_eager(node, *inputs[0], weights.canonical(node).span());
     case OpKind::kPool:
       BDL_CHECK(inputs.size() == 1);
       return pool_eager(node, *inputs[0]);
@@ -241,7 +241,8 @@ Tensor eager_node(const Graph& /*graph*/, const Node& node,
       return softmax_eager(node, *inputs[0]);
     case OpKind::kBatchNorm:
       BDL_CHECK(inputs.size() == 1);
-      return batchnorm_eager(node, *inputs[0], weights.weights(node));
+      return batchnorm_eager(node, *inputs[0],
+                             weights.canonical(node).span());
     case OpKind::kAdd: {
       BDL_CHECK(inputs.size() == 2);
       Tensor out(node.out_shape);
@@ -277,7 +278,7 @@ Tensor eager_node(const Graph& /*graph*/, const Node& node,
       return global_avg_pool_eager(node, *inputs[0]);
     case OpKind::kDense:
       BDL_CHECK(inputs.size() == 1);
-      return dense_eager(node, *inputs[0], weights.weights(node));
+      return dense_eager(node, *inputs[0], weights.canonical(node).span());
   }
   BDL_CHECK_MSG(false, "unhandled op kind");
   return Tensor{};

@@ -3,7 +3,8 @@
 // Every operator is implemented a second time here as straight-line loops
 // over canonical NCHW/NCDHW tensors, with no windows, regions, bricks, or
 // layout conversions — nothing shared with the ops/ region kernels except
-// the weight store and the iteration utility. The merged executors, the
+// the weight store, read in canonical order (WeightStore::canonical), and
+// the iteration utility. The merged executors, the
 // baselines, and the region kernels themselves are all tested against this
 // interpreter (tests/test_differential.cpp, tools/brickdl_fuzz.cpp).
 //

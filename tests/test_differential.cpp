@@ -12,7 +12,9 @@
 // instead of hiding the remaining graphs.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "graph/halo.hpp"
@@ -348,6 +350,35 @@ TEST(FastPathPerf, MicroKernelEdgeShapes) {
        1, true},
       {"conv3d", Shape{1, 3, 5, 6, 7}, {3, 3, 3}, {1, 1, 1}, {1, 1, 1},
        {1, 1, 1}, 5, 1, false},
+      // The channel-vectorized kernel: 8-channel blocks with shifted tails,
+      // groups below one block, any stride or dilation, res-shaped regions
+      // and point counts that are not a multiple of the position block.
+      {"m8-block", Shape{1, 6, 7, 9}, {3, 3}, {1, 1}, {1, 1}, {1, 1}, 8, 1,
+       false},
+      {"m12-tail", Shape{1, 5, 6, 6}, {3, 3}, {1, 1}, {1, 1}, {1, 1}, 12, 1,
+       false},
+      {"m20-tail-1x1", Shape{1, 9, 5, 7}, {1, 1}, {1, 1}, {0, 0}, {1, 1}, 20,
+       1, false},
+      {"m24-blocks", Shape{1, 4, 6, 5}, {3, 3}, {1, 1}, {1, 1}, {1, 1}, 24, 1,
+       false},
+      {"m4-below-block", Shape{1, 3, 6, 6}, {3, 3}, {1, 1}, {1, 1}, {1, 1}, 4,
+       1, false},
+      {"m5-below-block", Shape{1, 3, 6, 6}, {3, 3}, {1, 1}, {1, 1}, {1, 1}, 5,
+       1, false},
+      {"m7-below-block", Shape{1, 3, 6, 6}, {1, 1}, {1, 1}, {0, 0}, {1, 1}, 7,
+       1, false},
+      {"grouped-m8", Shape{1, 6, 7, 7}, {3, 3}, {1, 1}, {1, 1}, {1, 1}, 16, 2,
+       false},
+      {"stride3", Shape{1, 5, 13, 14}, {3, 3}, {3, 3}, {1, 1}, {1, 1}, 8, 1,
+       false},
+      {"stride2-dilation2", Shape{1, 4, 15, 15}, {3, 3}, {2, 2}, {2, 2},
+       {2, 2}, 12, 1, false},
+      {"res4-1x1-64to256", Shape{1, 64, 4, 4}, {1, 1}, {1, 1}, {0, 0},
+       {1, 1}, 256, 1, false},
+      {"res4-1x1-256to64", Shape{1, 256, 4, 4}, {1, 1}, {1, 1}, {0, 0},
+       {1, 1}, 64, 1, true},
+      {"points-not-block-multiple", Shape{1, 6, 5, 7}, {3, 3}, {1, 1}, {1, 1},
+       {1, 1}, 16, 1, false},
   };
   Rng rng(0xed9e5);
   u64 seed = 0xb000;
@@ -364,6 +395,74 @@ TEST(FastPathPerf, MicroKernelEdgeShapes) {
   const int node =
       g.add_deconv(x, "op", Dims{3, 3}, 6, Dims{1, 1}, Dims{1, 1});
   sweep_windows(g, node, &rng, ++seed, "transposed-m6");
+}
+
+// Fused ReLU in the vector kernel uses the scalar path's predicate: -0.0
+// and NaN pass through, negatives become +0.0. A sum of -1e-60 rounds to
+// float -0.0; a NaN input makes every channel of its position NaN.
+TEST(FastPathPerf, VectorReluKeepsNegativeZeroAndNaN) {
+  Graph g("relu_signs");
+  const int x = g.add_input("in", Shape{1, 1, 4, 8});
+  const int c = g.add_conv(x, "op", Dims{1, 1}, 8, Dims{1, 1}, Dims{0, 0}, {},
+                           1, /*fused_relu=*/true);
+  const Node& node = g.node(c);
+  std::vector<float> in(32, 0.0f);
+  in[0] = 1e-30f;
+  in[5] = std::numeric_limits<float>::quiet_NaN();
+  in[6] = 2.0f;
+  RegionInput ri{in, Dims{0, 0, 0}, Dims{1, 4, 8}, 1};
+  Tensor w(node.weight_dims);
+  for (i64 m = 0; m < 8; ++m) w.flat(m) = m % 2 == 0 ? 1e-30f : -1e-30f;
+  WeightStore ws;
+  ws.set(node, w);
+  std::vector<float> fast(256, 7.0f), generic(256, 9.0f);
+  conv_region(node, ri, ws.weights(node), Dims{0, 0, 0}, Dims{1, 4, 8}, fast);
+  conv_region_generic(node, ri, ws.weights(node), Dims{0, 0, 0},
+                      Dims{1, 4, 8}, generic);
+  ASSERT_EQ(std::memcmp(fast.data(), generic.data(), 256 * sizeof(float)), 0);
+  EXPECT_TRUE(fast[32] == 0.0f && std::signbit(fast[32]));  // -0.0 kept
+  EXPECT_TRUE(std::isnan(fast[5]));                          // NaN kept
+  EXPECT_GT(fast[6], 0.0f);
+  EXPECT_TRUE(fast[32 + 6] == 0.0f && !std::signbit(fast[32 + 6]));
+}
+
+// WeightStore keeps conv weights once, in the kernel's storage order. A
+// canonical tensor given to set() must come back bit for bit through the
+// oracle's accessor, and compute_region must use it as a canonical
+// [M][C/groups][kh][kw] tensor: one output checked by hand.
+TEST(WeightStoreLayout, SetRoundTripsAndConvUsesCanonicalMeaning) {
+  Graph g("layout");
+  const int x = g.add_input("in", Shape{1, 4, 3, 3});
+  const int c = g.add_conv(x, "op", Dims{3, 3}, 10, Dims{1, 1}, Dims{1, 1},
+                           {}, 2);
+  const Node& node = g.node(c);
+  Tensor w(node.weight_dims);  // [10][2][3][3]
+  Rng rng(5);
+  w.fill_random(rng, -1.0f, 1.0f);
+  WeightStore ws;
+  ws.set(node, w);
+  const Tensor back = ws.canonical(node);
+  ASSERT_EQ(back.dims(), w.dims());
+  EXPECT_EQ(std::memcmp(back.data(), w.data(),
+                        static_cast<size_t>(w.elements()) * sizeof(float)),
+            0);
+
+  std::vector<float> in(4 * 9);
+  for (float& v : in) v = rng.next_float(-1.0f, 1.0f);
+  RegionInput ri{in, Dims{0, 0, 0}, Dims{1, 3, 3}, 4};
+  std::vector<float> out(10 * 9);
+  compute_region(node, std::span<const RegionInput>(&ri, 1), ws.weights(node),
+                 Dims{0, 0, 0}, Dims{1, 3, 3}, out);
+  // Output channel 7 (group 1, input channels 2..3) at the centre (1, 1):
+  // taps row-major, then the group's channels, in double.
+  double acc = 0.0;
+  for (i64 t = 0; t < 9; ++t) {
+    for (i64 cg = 0; cg < 2; ++cg) {
+      acc += static_cast<double>(in[static_cast<size_t>((2 + cg) * 9 + t)]) *
+             w.flat((7 * 2 + cg) * 9 + t);
+    }
+  }
+  EXPECT_EQ(out[7 * 9 + 4], static_cast<float>(acc));
 }
 
 // Pool analogues of the two extremes above (max pooling: out-of-window reads

@@ -516,15 +516,24 @@ int run_overload(const Graph& model, const Options& opts) {
 
 int main(int argc, char** argv) {
   Options opts;
-  bool missing_value = false;
+  bool bad_value = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     // Empty string (never nullptr) when the value is missing, so the numeric
     // parses below stay crash-free; the flag loop then falls out to usage().
     auto next = [&]() -> const char* {
       if (i + 1 < argc) return argv[++i];
-      missing_value = true;
+      bad_value = true;
       return "";
+    };
+    // Model sizes must be positive integers: zero or garbage text would
+    // abort in the model builder.
+    auto positive = [&]() -> long {
+      const char* text = next();
+      char* end = nullptr;
+      const long v = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || v <= 0) bad_value = true;
+      return v;
     };
     if (arg == "--demo") {
       opts.demo = std::atoi(next());
@@ -535,11 +544,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--drain-ms") {
       opts.drain_ms = std::atol(next());
     } else if (arg == "--layers") {
-      opts.layers = std::atoi(next());
+      opts.layers = static_cast<int>(positive());
     } else if (arg == "--spatial") {
-      opts.spatial = std::atol(next());
+      opts.spatial = positive();
     } else if (arg == "--channels") {
-      opts.channels = std::atol(next());
+      opts.channels = positive();
     } else if (arg == "--max-batch") {
       opts.serve.max_batch = std::atoi(next());
     } else if (arg == "--max-wait-us") {
@@ -588,7 +597,7 @@ int main(int argc, char** argv) {
       opts.json_path = next();
     } else if (arg == "--calibration") {
       const std::string path = next();
-      if (missing_value) return usage();
+      if (bad_value) return usage();
       std::ifstream in(path);
       std::ostringstream text;
       text << in.rdbuf();
@@ -621,7 +630,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (missing_value) return usage();
+  if (bad_value) return usage();
   if (opts.trace_file.empty() && opts.demo <= 0 && opts.overload <= 0.0) {
     return usage();
   }
