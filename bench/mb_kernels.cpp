@@ -7,7 +7,7 @@
 //     rows also report the fast path's GFLOP/s;
 //   * the same kernels on an exact window, where boundary slabs run through
 //     the generic code (the brick-edge case);
-//   * ThreadPool::parallel_for dispatch overhead across grain sizes.
+//   * WorkerTeam::parallel_for dispatch overhead across grain sizes.
 //
 // Doubles as a correctness smoke (CTest test `mb_kernels_smoke`, label
 // `perf`): every timed kernel pair is first checked bit-exact, and any
@@ -25,7 +25,7 @@
 #include "graph/halo.hpp"
 #include "ops/dispatch.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
+#include "util/worker_team.hpp"
 
 namespace {
 
@@ -158,12 +158,12 @@ bool bench_pair(const StencilCase& c, const std::string& label, i64 calls,
 /// parallel_for dispatch overhead: trivial per-index work, so the measured
 /// ns/index is claim + call overhead at each grain.
 void bench_grain_sweep(i64 n, std::vector<Result>* out) {
-  ThreadPool pool(4);
+  WorkerTeam team(4);
   std::vector<i64> sink(4 * 16, 0);  // one padded slot per worker
   for (i64 grain : {i64{1}, i64{16}, i64{256}, i64{2048}}) {
     const double ns = time_ns_per_call(
         [&] {
-          pool.parallel_for(
+          team.parallel_for(
               n, [&](i64 i, int w) { sink[static_cast<size_t>(w) * 16] += i; },
               grain);
         },

@@ -8,7 +8,7 @@
 namespace brickdl {
 namespace {
 
-/// Pool-path refinement targets: at least this many tiles per pool worker,
+/// Team-path refinement targets: at least this many tiles per team member,
 /// and no spatial tile side halved below this width.
 constexpr i64 kTilesPerWorker = 4;
 constexpr i64 kMinTileSide = 4;
@@ -36,7 +36,7 @@ void refine_tiles(const Dims& bounds, i64 target, Dims* tile, Dims* grid) {
 
 void run_node_tiled(const Graph& graph, const Node& node, Backend& backend,
                     const std::unordered_map<int, TensorId>& io, TensorId out,
-                    i64 tile_side, ThreadPool* pool) {
+                    i64 tile_side, WorkerTeam* team) {
   (void)graph;
   if (node.kind == OpKind::kDense || node.kind == OpKind::kGlobalAvgPool) {
     std::vector<TensorId> inputs;
@@ -52,8 +52,8 @@ void run_node_tiled(const Graph& graph, const Node& node, Backend& backend,
     tile[d] = d == 0 ? 1 : std::min(tile_side, bounds[d]);
     grid[d] = ceil_div(bounds[d], tile[d]);
   }
-  if (pool) {
-    refine_tiles(bounds, kTilesPerWorker * pool->size(), &tile, &grid);
+  if (team) {
+    refine_tiles(bounds, kTilesPerWorker * team->size(), &tile, &grid);
   }
 
   std::vector<TensorId> srcs;
@@ -84,11 +84,11 @@ void run_node_tiled(const Graph& graph, const Node& node, Backend& backend,
   };
 
   const i64 tiles = grid.product();
-  if (pool) {
+  if (team) {
     std::vector<std::vector<SlotId>> worker_inputs(
-        static_cast<size_t>(pool->size()));
-    const i64 grain = std::max<i64>(1, tiles / (8 * pool->size()));
-    pool->parallel_for_ranges(tiles, grain, [&](i64 begin, i64 end,
+        static_cast<size_t>(team->size()));
+    const i64 grain = std::max<i64>(1, tiles / (8 * team->size()));
+    team->parallel_for_ranges(tiles, grain, [&](i64 begin, i64 end,
                                                 int worker) {
       std::vector<SlotId>& inputs =
           worker_inputs[static_cast<size_t>(worker)];

@@ -30,21 +30,21 @@ std::vector<Strategy> fallback_chain(Strategy planned, bool graceful) {
   return {planned};
 }
 
-/// Build the pool one run (or one standalone subgraph call) executes on:
-/// min(memo_workers, backend workers) threads with `memo_parallel`, null
-/// without it. The only place the engine creates threads; kInternal if it
-/// cannot.
-Status make_run_pool(const EngineOptions& options, Backend& backend,
-                     std::unique_ptr<ThreadPool>* pool) {
-  pool->reset();
+/// Build the team one run (or one standalone subgraph call) executes on:
+/// min(memo_workers, backend workers) members with `memo_parallel` (the
+/// calling thread plus helpers), null without it. The only place the engine
+/// creates threads; kInternal if it cannot.
+Status make_run_team(const EngineOptions& options, Backend& backend,
+                     std::unique_ptr<WorkerTeam>* team) {
+  team->reset();
   if (!options.memo_parallel) return Status();
-  const int workers = std::min(options.memo_workers, backend.num_workers());
+  const int members = std::min(options.memo_workers, backend.num_workers());
   try {
-    *pool = std::make_unique<ThreadPool>(workers);
+    *team = std::make_unique<WorkerTeam>(members);
   } catch (const std::exception& e) {
-    pool->reset();
+    team->reset();
     return Status(StatusCode::kInternal,
-                  std::string("cannot start the thread pool: ") + e.what());
+                  std::string("cannot start the worker team: ") + e.what());
   }
   return Status();
 }
@@ -86,21 +86,21 @@ Status classify_exceptions(Body&& body) {
 }
 
 /// Run `stages` — one memoized subgraph, or a pipelined chain of them
-/// (DESIGN.md §14) — on `pool`, or on the virtual scheduler without one.
+/// (DESIGN.md §14) — on `team`, or on the virtual scheduler without one.
 /// `io` maps every stage terminal and every out-of-chain producer.
 Status run_memoized(const Graph& graph,
                     std::vector<MemoizedExecutor::StageSpec> stages,
                     Backend& backend,
                     const std::unordered_map<int, TensorId>& io,
-                    const EngineOptions& options, ThreadPool* pool,
+                    const EngineOptions& options, WorkerTeam* team,
                     MemoizedExecutor::Stats* stats_out) {
   const int workers =
-      pool ? pool->size()
+      team ? team->size()
            : std::min(options.memo_workers, backend.num_workers());
   MemoizedExecutor exec(graph, std::move(stages), backend, io, workers,
                         options.memo_watchdog);
   const Status status =
-      pool ? exec.run_parallel_checked(*pool) : exec.run_checked();
+      team ? exec.run_parallel_checked(*team) : exec.run_checked();
   if (stats_out) *stats_out = exec.stats();
   return status;
 }
@@ -285,17 +285,17 @@ Status run_planned_subgraph_checked(
     const Graph& graph, const PlannedSubgraph& planned, Backend& backend,
     const std::unordered_map<int, TensorId>& io, TensorId out,
     const EngineOptions& options, MemoizedExecutor::Stats* stats_out,
-    ThreadPool* pool) {
+    WorkerTeam* team) {
   if (stats_out) *stats_out = {};
   BDL_RETURN_IF_ERROR(validate_engine_options(options));
   const Subgraph& sg = planned.sg;
   if (out < 0) {
     return Status(StatusCode::kBadIoMap, "invalid terminal output tensor id");
   }
-  if (pool && pool->size() > backend.num_workers()) {
+  if (team && team->size() > backend.num_workers()) {
     return Status(StatusCode::kInvalidOptions,
-                  "thread pool of " + std::to_string(pool->size()) +
-                      " workers exceeds the backend's " +
+                  "worker team of " + std::to_string(team->size()) +
+                      " members exceeds the backend's " +
                       std::to_string(backend.num_workers()));
   }
   // The io map must cover every producer outside the subgraph; a silent miss
@@ -323,12 +323,12 @@ Status run_planned_subgraph_checked(
   full_io[sg.terminal()] = out;
   std::vector<TensorId> vendor_interior;
 
-  // A standalone call with memo_parallel builds the pool a run would have
+  // A standalone call with memo_parallel builds the team a run would have
   // passed; it serves every strategy of this call.
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (!pool) {
-    BDL_RETURN_IF_ERROR(make_run_pool(options, backend, &owned_pool));
-    pool = owned_pool.get();
+  std::unique_ptr<WorkerTeam> owned_team;
+  if (!team) {
+    BDL_RETURN_IF_ERROR(make_run_team(options, backend, &owned_team));
+    team = owned_team.get();
   }
 
   const Status status = classify_exceptions([&]() -> Status {
@@ -336,11 +336,11 @@ Status run_planned_subgraph_checked(
       case Strategy::kPadded: {
         const HaloPlan plan(graph, sg, planned.brick_extent);
         PaddedExecutor exec(graph, sg, plan, backend, full_io);
-        return exec.run_checked(pool);
+        return exec.run_checked(team);
       }
       case Strategy::kMemoized:
         return run_memoized(graph, {{&sg, planned.brick_extent}}, backend,
-                            full_io, options, pool, stats_out);
+                            full_io, options, team, stats_out);
       case Strategy::kVendor: {
         // Per-layer tiled vendor calls; interiors materialize canonically
         // and are released after their last in-subgraph consumer.
@@ -365,7 +365,7 @@ Status run_planned_subgraph_checked(
           {
             obs::TraceSpan layer_span("layer", node.name, {{"node", nid}});
             run_node_tiled(graph, node, backend, local, dst,
-                           options.vendor_tile_side, pool);
+                           options.vendor_tile_side, team);
           }
           for (int p : node.inputs) {
             if (sg.contains(p) && --readers_left[p] == 0) {
@@ -384,7 +384,7 @@ Status run_planned_subgraph_checked(
   return status;
 }
 
-Status Engine::run_segment(Backend& backend, ThreadPool* pool, size_t begin,
+Status Engine::run_segment(Backend& backend, WorkerTeam* team, size_t begin,
                            size_t end,
                            std::unordered_map<int, TensorId>& boundary,
                            EngineResult& result) {
@@ -446,14 +446,14 @@ Status Engine::run_segment(Backend& backend, ThreadPool* pool, size_t begin,
     const auto t0 = std::chrono::steady_clock::now();
     if (chained) {
       status = classify_exceptions([&] {
-        return run_memoized(graph_, stages, backend, io, options_, pool,
+        return run_memoized(graph_, stages, backend, io, options_, team,
                             &stats);
       });
     } else {
       PlannedSubgraph attempt = lead;
       attempt.strategy = strategy;
       status = run_planned_subgraph_checked(graph_, attempt, backend, io,
-                                            outs[0], options_, &stats, pool);
+                                            outs[0], options_, &stats, team);
     }
     const double seconds = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - t0)
@@ -582,11 +582,11 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
     }
   }
 
-  // One pool per run, shared by every strategy of every subgraph. It is not
+  // One team per run, shared by every strategy of every subgraph. It is not
   // held by the Engine: Server may run one Engine from several threads at
-  // once, and each run keeps its own workers.
-  std::unique_ptr<ThreadPool> pool;
-  BDL_RETURN_IF_ERROR(make_run_pool(options_, backend, &pool));
+  // once, and each running thread is member 0 of its own run's team.
+  std::unique_ptr<WorkerTeam> team;
+  BDL_RETURN_IF_ERROR(make_run_team(options_, backend, &team));
 
   // Pipelined chains need the per-subgraph barrier gone; profile mode needs
   // it kept (it flushes the simulator at subgraph granularity for byte
@@ -605,13 +605,13 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
       }
     }
     Status status =
-        run_segment(backend, pool.get(), index, end, boundary, result);
+        run_segment(backend, team.get(), index, end, boundary, result);
     if (!status.ok() && end > index + 1) {
       // A failed chain left nothing behind: its first member runs alone,
       // down its own degradation ladder, and the next re-forms a segment.
       obs::metrics().counter("engine.pipeline.chain_fallbacks").add(1);
       end = index + 1;
-      status = run_segment(backend, pool.get(), index, end, boundary, result);
+      status = run_segment(backend, team.get(), index, end, boundary, result);
     }
     BDL_RETURN_IF_ERROR(status);
     for (; index < end; ++index) release_consumed(index);

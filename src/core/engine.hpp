@@ -37,7 +37,7 @@ struct EngineOptions {
   std::optional<Strategy> force_strategy;
   i64 force_brick_side = 0;  ///< 0 = model-chosen
   int memo_workers = 16;     ///< virtual workers for the memoized scheduler
-  /// Run memoized, padded and vendor work on real threads, one pool per run
+  /// Run memoized, padded and vendor work on real threads, one team per run
   /// (DESIGN.md §9.6): the host production mode, used by perfbench. Off:
   /// the deterministic virtual scheduler and serial brick/tile sweeps.
   bool memo_parallel = false;
@@ -170,8 +170,8 @@ class Engine {
   /// member (the first carries the segment's time, memo stats and model
   /// deltas) and publishes every terminal into `boundary`. On failure
   /// nothing is appended or published; a failed single subgraph has printed
-  /// its replay line. `pool` is the run's pool (null without memo_parallel).
-  Status run_segment(Backend& backend, ThreadPool* pool, size_t begin,
+  /// its replay line. `team` is the run's team (null without memo_parallel).
+  Status run_segment(Backend& backend, WorkerTeam* team, size_t begin,
                      size_t end, std::unordered_map<int, TensorId>& boundary,
                      EngineResult& result);
 
@@ -189,14 +189,14 @@ class Engine {
 /// The io map must cover every producer outside the subgraph (kBadIoMap
 /// names the offending node otherwise). On success `*stats_out` (if given)
 /// holds the memoized protocol counters (zeros for other strategies).
-/// With `pool` (at most `backend.num_workers()` threads), every strategy
+/// With `team` (at most `backend.num_workers()` members), every strategy
 /// that has a threaded path runs on it; without one, `options.memo_parallel`
-/// builds a pool for this call, and otherwise everything runs serially.
+/// builds a team for this call, and otherwise everything runs serially.
 Status run_planned_subgraph_checked(
     const Graph& graph, const PlannedSubgraph& planned, Backend& backend,
     const std::unordered_map<int, TensorId>& io, TensorId out,
     const EngineOptions& options,
-    MemoizedExecutor::Stats* stats_out = nullptr, ThreadPool* pool = nullptr);
+    MemoizedExecutor::Stats* stats_out = nullptr, WorkerTeam* team = nullptr);
 
 // ---- per-request batching hooks (serving front-end, DESIGN.md §10) ----
 

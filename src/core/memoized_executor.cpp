@@ -668,12 +668,12 @@ Status MemoizedExecutor::run_checked() {
   return finish();
 }
 
-Status MemoizedExecutor::run_parallel_checked(ThreadPool& pool) {
-  BDL_CHECK_MSG(pool.size() == num_workers_,
-                "pool size must equal the executor's worker count");
+Status MemoizedExecutor::run_parallel_checked(WorkerTeam& team) {
+  BDL_CHECK_MSG(team.size() == num_workers_,
+                "team size must equal the executor's worker count");
   trace_gate_ = obs::Tracer::enabled();
   const auto t0 = std::chrono::steady_clock::now();
-  pool.parallel_for(num_workers_, [this](i64 w, int /*pool_worker*/) {
+  team.parallel_for(num_workers_, [this](i64 w, int /*member*/) {
     while (advance(static_cast<int>(w), /*spin_wait=*/true)) {
     }
     workers_[static_cast<size_t>(w)]->finish_time =

@@ -61,7 +61,7 @@
 #include "core/backend.hpp"
 #include "core/subgraph.hpp"
 #include "util/status.hpp"
-#include "util/thread_pool.hpp"
+#include "util/worker_team.hpp"
 
 namespace brickdl {
 
@@ -132,8 +132,8 @@ class MemoizedExecutor {
   /// Returns kKernelFailure if a kernel faulted, kExecutorStall if workers
   /// stopped before every terminal brick completed.
   Status run_checked();
-  /// Real-thread execution; pool must have exactly num_workers threads.
-  Status run_parallel_checked(ThreadPool& pool);
+  /// Real-thread execution; the team must have exactly num_workers members.
+  Status run_parallel_checked(WorkerTeam& team);
 
   const Stats& stats() const { return stats_; }
   /// Consistent-enough mid-run snapshot of the protocol counters: each

@@ -85,11 +85,11 @@ void PaddedExecutor::run_brick(i64 brick_index, int worker, bool traced) {
   }
 }
 
-Status PaddedExecutor::run_checked(ThreadPool* pool) {
+Status PaddedExecutor::run_checked(WorkerTeam* team) {
   const int workers = backend_.num_workers();
-  if (pool && pool->size() > workers) {
+  if (team && team->size() > workers) {
     return Status(StatusCode::kInvalidOptions,
-                  "thread pool larger than backend worker count");
+                  "worker team larger than backend worker count");
   }
   Status status;
   // One enabled-check per run instead of one per span in the brick loop:
@@ -97,11 +97,11 @@ Status PaddedExecutor::run_checked(ThreadPool* pool) {
   const bool traced = obs::Tracer::enabled();
   try {
     const i64 n = plan_.num_bricks();
-    if (pool) {
+    if (team) {
       // Chunked claims: ~8 chunks per worker balances steal granularity
       // against cursor contention when bricks are small and numerous.
-      const i64 grain = std::max<i64>(1, n / (8 * pool->size()));
-      pool->parallel_for_ranges(
+      const i64 grain = std::max<i64>(1, n / (8 * team->size()));
+      team->parallel_for_ranges(
           n, grain, [this, traced](i64 begin, i64 end, int worker) {
             for (i64 i = begin; i < end; ++i) run_brick(i, worker, traced);
           });

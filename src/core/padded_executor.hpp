@@ -14,7 +14,7 @@
 #include "core/backend.hpp"
 #include "core/halo_plan.hpp"
 #include "util/status.hpp"
-#include "util/thread_pool.hpp"
+#include "util/worker_team.hpp"
 
 namespace brickdl {
 
@@ -26,12 +26,12 @@ class PaddedExecutor {
                  Backend& backend,
                  const std::unordered_map<int, TensorId>& io);
 
-  /// Execute all terminal bricks. With `pool`, bricks run concurrently on
-  /// real threads (the engine's run-scoped pool); otherwise a deterministic
+  /// Execute all terminal bricks. With `team`, bricks run concurrently on
+  /// real threads (the engine's run-scoped team); otherwise a deterministic
   /// serial sweep assigns contiguous brick ranges to backend workers,
   /// mirroring GPU block scheduling. A faulting kernel aborts the sweep and
   /// returns a classified kKernelFailure; scratch is discarded either way.
-  Status run_checked(ThreadPool* pool = nullptr);
+  Status run_checked(WorkerTeam* team = nullptr);
 
   i64 bricks_executed() const { return bricks_executed_; }
 

@@ -151,7 +151,7 @@ template <int kP>
 }
 
 struct Microkernel {
-  int positions;
+  ConvMicrokernelVariant variant;
   void (*run)(const ConvBlock&);
 };
 
@@ -165,15 +165,22 @@ struct Microkernel {
 #endif
 void conv_block_default(const ConvBlock& b) { conv_block<2>(b); }
 
-const Microkernel& microkernel() {
-  static const Microkernel kernel = []() -> Microkernel {
+/// The kernels this CPU runs, widest first; conv_region uses the first.
+const std::vector<Microkernel>& microkernels() {
+  static const std::vector<Microkernel> kernels = [] {
+    std::vector<Microkernel> k;
 #ifdef BRICKDL_ISA_DISPATCH
-    if (__builtin_cpu_supports("x86-64-v4")) return {16, conv_block_v4};
-    if (__builtin_cpu_supports("x86-64-v3")) return {4, conv_block_v3};
+    if (__builtin_cpu_supports("x86-64-v4")) {
+      k.push_back({{16, "x86-64-v4"}, conv_block_v4});
+    }
+    if (__builtin_cpu_supports("x86-64-v3")) {
+      k.push_back({{4, "x86-64-v3"}, conv_block_v3});
+    }
 #endif
-    return {2, conv_block_default};
+    k.push_back({{2, "default"}, conv_block_default});
+    return k;
   }();
-  return kernel;
+  return kernels;
 }
 
 /// Calls fn(in_row, out_row) for every row of the output box [lo, hi) (a
@@ -254,7 +261,7 @@ void conv_interior(const Node& node, const RegionInput& input,
                    std::span<const float> weights,
                    const detail::StencilDim* dims, const Dims& ilo,
                    const Dims& ihi, const Dims& out_lo, const Dims& out_extent,
-                   std::span<float> out) {
+                   std::span<float> out, const Microkernel& kernel) {
   const OpAttrs& a = node.attrs;
   const int last = out_lo.rank() - 1;
   const ConvWeightLayout layout(node);
@@ -299,7 +306,6 @@ void conv_interior(const Node& node, const RegionInput& input,
     return;
   }
 
-  const Microkernel& kernel = microkernel();
   // The widened input lives on the stack: a band's input box fits kWidenCap
   // doubles unless a single output point reads more, which takes the heap.
   alignas(64) double stack_widened[kWidenCap];
@@ -344,7 +350,7 @@ void conv_interior(const Node& node, const RegionInput& input,
                   .relu = relu, .in_off = {}, .out_off = {}};
       int n = 0;
       auto flush = [&] {
-        for (int p = n; p < kernel.positions; ++p) {
+        for (int p = n; p < kernel.variant.positions; ++p) {
           b.in_off[p] = b.in_off[n - 1];
           b.out_off[p] = b.out_off[n - 1];
         }
@@ -361,7 +367,7 @@ void conv_interior(const Node& node, const RegionInput& input,
         for (i64 x = lo[last]; x < hi[last]; ++x) {
           b.in_off[n] = in_row + x * x_scale;
           b.out_off[n] = out_row + x;
-          if (++n == kernel.positions) flush();
+          if (++n == kernel.variant.positions) flush();
         }
       });
       if (n > 0) flush();
@@ -380,18 +386,11 @@ void conv_checks(const Node& node, const RegionInput& input,
             a.out_channels * (input.channels / a.groups) * a.kernel.product());
 }
 
-}  // namespace
-
-void conv_region_generic(const Node& node, const RegionInput& input,
-                         std::span<const float> weights, const Dims& out_lo,
-                         const Dims& out_extent, std::span<float> out) {
-  conv_checks(node, input, weights, out_lo, out_extent, out);
-  conv_box(node, input, weights, out_lo, out_extent, out_lo, out_extent, out);
-}
-
-void conv_region(const Node& node, const RegionInput& input,
-                 std::span<const float> weights, const Dims& out_lo,
-                 const Dims& out_extent, std::span<float> out) {
+/// conv_region with its interior on `kernel`.
+void conv_region_on(const Microkernel& kernel, const Node& node,
+                    const RegionInput& input, std::span<const float> weights,
+                    const Dims& out_lo, const Dims& out_extent,
+                    std::span<float> out) {
   conv_checks(node, input, weights, out_lo, out_extent, out);
   const OpAttrs& a = node.attrs;
   const int rank = out_lo.rank();
@@ -431,13 +430,47 @@ void conv_region(const Node& node, const RegionInput& input,
   Dims box_lo = out_lo, box_hi = out_lo;
   for (int d = 0; d < rank; ++d) box_lo[d] = ilo[d], box_hi[d] = ihi[d];
   conv_interior(node, input, weights, dims, box_lo, box_hi, out_lo, out_extent,
-                out);
+                out, kernel);
   detail::for_each_boundary_slab(
       rank, out_lo, out_extent, ilo, ihi,
       [&](const Dims& slab_lo, const Dims& slab_extent) {
         conv_box(node, input, weights, slab_lo, slab_extent, out_lo,
                  out_extent, out);
       });
+}
+
+}  // namespace
+
+void conv_region_generic(const Node& node, const RegionInput& input,
+                         std::span<const float> weights, const Dims& out_lo,
+                         const Dims& out_extent, std::span<float> out) {
+  conv_checks(node, input, weights, out_lo, out_extent, out);
+  conv_box(node, input, weights, out_lo, out_extent, out_lo, out_extent, out);
+}
+
+void conv_region(const Node& node, const RegionInput& input,
+                 std::span<const float> weights, const Dims& out_lo,
+                 const Dims& out_extent, std::span<float> out) {
+  conv_region_on(microkernels().front(), node, input, weights, out_lo,
+                 out_extent, out);
+}
+
+std::vector<ConvMicrokernelVariant> conv_microkernel_variants() {
+  std::vector<ConvMicrokernelVariant> variants;
+  for (const Microkernel& k : microkernels()) variants.push_back(k.variant);
+  return variants;
+}
+
+void conv_region_variant(size_t variant, const Node& node,
+                         const RegionInput& input,
+                         std::span<const float> weights, const Dims& out_lo,
+                         const Dims& out_extent, std::span<float> out) {
+  const std::vector<Microkernel>& kernels = microkernels();
+  BDL_CHECK_MSG(variant < kernels.size(),
+                "conv micro-kernel variant " << variant << " of "
+                                             << kernels.size());
+  conv_region_on(kernels[variant], node, input, weights, out_lo, out_extent,
+                 out);
 }
 
 }  // namespace brickdl

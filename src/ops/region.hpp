@@ -22,6 +22,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "graph/halo.hpp"
 #include "graph/op.hpp"
@@ -91,6 +92,20 @@ void conv_region(const Node& node, const RegionInput& input,
                  std::span<const float> weights, const Dims& out_lo,
                  const Dims& out_extent, std::span<float> out);
 void conv_region_generic(const Node& node, const RegionInput& input,
+                         std::span<const float> weights, const Dims& out_lo,
+                         const Dims& out_extent, std::span<float> out);
+/// One compiled conv interior micro-kernel: output positions per call and
+/// the ISA it targets ({16, x86-64-v4}, {4, x86-64-v3}, {2, default}).
+struct ConvMicrokernelVariant {
+  int positions;
+  const char* isa;
+};
+/// The variants this CPU runs, widest first; conv_region uses the first.
+/// Exposed so tests can run every compiled kernel, not only the widest.
+std::vector<ConvMicrokernelVariant> conv_microkernel_variants();
+/// conv_region with its interior on conv_microkernel_variants()[variant].
+void conv_region_variant(size_t variant, const Node& node,
+                         const RegionInput& input,
                          std::span<const float> weights, const Dims& out_lo,
                          const Dims& out_extent, std::span<float> out);
 void pool_region(const Node& node, const RegionInput& input, const Dims& out_lo,

@@ -57,6 +57,7 @@
 #include "obs/flight.hpp"
 #include "ops/dispatch.hpp"
 #include "serve/batch_planner.hpp"
+#include "util/thread_pool.hpp"
 
 namespace brickdl::serve {
 

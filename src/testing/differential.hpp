@@ -26,7 +26,7 @@ struct DiffOptions {
   bool kernel_reference = true;  ///< full-tensor region kernels, node by node
   bool vendor = true;            ///< per-layer tiled fallback
   bool fused_baselines = true;   ///< FusionRules::{kNone,kConvPointwise,kAggressive}
-  /// Also run on the engine's thread pool: memoized via run_parallel()
+  /// Also run on the engine's worker team: memoized via run_parallel()
   /// ("memo-par-…"), padded bricks and vendor tiles ("…-par" twins).
   bool memo_parallel = true;
   double tolerance = 0.0;        ///< max |got − oracle| allowed (0 = bit-exact)

@@ -1,6 +1,6 @@
-// Fixed-size worker pool. In the GPU-simulation substrate one worker plays
-// the role of one concurrently-resident thread block (see DESIGN.md §2), so
-// the pool exposes the worker index to each task.
+// Fixed-size task pool: independent tasks off one mutex-guarded queue, for
+// long-lived jobs such as the serving tier's engine runners. Engine runs
+// fork and join on a WorkerTeam (util/worker_team.hpp) instead.
 #pragma once
 
 #include <condition_variable>
@@ -29,28 +29,6 @@ class ThreadPool {
 
   /// Enqueue one task. May be called from worker threads.
   void submit(Task task);
-
-  /// Run `n` index tasks f(0..n-1) across the pool and wait for all of them.
-  /// Must be called from outside the pool. If a task throws, the remaining
-  /// unclaimed indices are abandoned and the first exception is rethrown
-  /// here once every worker has drained (no task is left running).
-  ///
-  /// `grain` > 1 claims indices in chunks of that size off one atomic cursor
-  /// (one claim + one trace span per chunk instead of per index), which is
-  /// the difference between queue-bound and compute-bound when `n` is large
-  /// and the per-index work is small. Semantics are unchanged: an exception
-  /// abandons the rest of its chunk and all unclaimed work, and the first
-  /// exception is rethrown after every worker drains.
-  void parallel_for(i64 n, const std::function<void(i64 index, int worker)>& f,
-                    i64 grain = 1);
-
-  /// Chunked form: f(begin, end, worker) is called once per claimed chunk
-  /// [begin, end) of [0, n), chunk size `grain`. parallel_for is a wrapper
-  /// over this. It wakes min(size(), ceil(n / grain)) workers, so a single
-  /// chunk runs on one worker and leaves the rest asleep.
-  void parallel_for_ranges(
-      i64 n, i64 grain,
-      const std::function<void(i64 begin, i64 end, int worker)>& f);
 
   /// Block until the queue is empty and all workers are idle.
   void wait_idle();

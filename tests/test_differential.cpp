@@ -119,9 +119,11 @@ TEST(DifferentialRegression, PooledVendorTilesOddExtents) {
 /// Run `node` (conv or pool) over [out_lo, out_lo+out_extent) with both the
 /// fast-path and generic kernels on the same seeded input window, widened by
 /// `margin` on both sides of every spatial dim, and require identical bits.
+/// `variant` picks a conv micro-kernel of conv_microkernel_variants(); -1
+/// runs conv_region's own choice.
 void expect_fast_path_bit_exact(const Graph& g, int node_id, const Dims& out_lo,
                                 const Dims& out_extent, i64 margin, u64 seed,
-                                const std::string& label) {
+                                const std::string& label, int variant = -1) {
   const Node& node = g.node(node_id);
   const Shape in_shape = g.input_shapes(node)[0];
   Dims in_lo, in_extent;
@@ -142,7 +144,12 @@ void expect_fast_path_bit_exact(const Graph& g, int node_id, const Dims& out_lo,
   std::vector<float> fast(out_elems, -123.0f);
   std::vector<float> generic(out_elems, -321.0f);
   WeightStore ws(seed ^ 0x5eedULL);
-  if (node.kind == OpKind::kConv) {
+  if (node.kind == OpKind::kConv && variant >= 0) {
+    conv_region_variant(static_cast<size_t>(variant), node, ri,
+                        ws.weights(node), out_lo, out_extent, fast);
+    conv_region_generic(node, ri, ws.weights(node), out_lo, out_extent,
+                        generic);
+  } else if (node.kind == OpKind::kConv) {
     conv_region(node, ri, ws.weights(node), out_lo, out_extent, fast);
     conv_region_generic(node, ri, ws.weights(node), out_lo, out_extent,
                         generic);
@@ -173,20 +180,22 @@ void expect_fast_path_bit_exact(const Graph& g, int node_id, const Dims& out_lo,
 /// interior covers the whole region), and a random interior sub-tile with a
 /// nonzero out_lo.
 void sweep_windows(const Graph& g, int node_id, Rng* rng, u64 seed,
-                   const std::string& label) {
+                   const std::string& label, int variant = -1) {
   const Node& node = g.node(node_id);
   const Dims out = node.out_shape.blocked_dims();
   const Dims zero = Dims::filled(out.rank(), 0);
-  expect_fast_path_bit_exact(g, node_id, zero, out, 0, seed, label + "/exact");
+  expect_fast_path_bit_exact(g, node_id, zero, out, 0, seed, label + "/exact",
+                             variant);
   expect_fast_path_bit_exact(g, node_id, zero, out, 4, seed,
-                             label + "/wide-halo");
+                             label + "/wide-halo", variant);
   Dims lo = zero, extent = out;
   for (int d = 0; d < out.rank(); ++d) {
     lo[d] = static_cast<i64>(rng->next_below(static_cast<u64>(out[d])));
     extent[d] =
         1 + static_cast<i64>(rng->next_below(static_cast<u64>(out[d] - lo[d])));
   }
-  expect_fast_path_bit_exact(g, node_id, lo, extent, 1, seed, label + "/tile");
+  expect_fast_path_bit_exact(g, node_id, lo, extent, 1, seed, label + "/tile",
+                             variant);
 }
 
 TEST(FastPathPerf, SeededConvSweep) {
@@ -302,14 +311,13 @@ TEST(FastPathPerf, WholeRegionInteriorConv) {
                              /*margin=*/3, /*seed=*/12, "whole-interior-conv");
 }
 
-// Shapes aimed at every edge of the vectorized conv micro-kernel (a strip of
-// 4 output positions along the innermost dim × a block of 4 output channels
-// of one group): channel tails that are not a multiple of the block and
-// groups smaller than one block (depthwise), stride 2 (a strip loads 8
-// floats; strips at the window's end shift their load back), dilation 2,
-// rows narrower than one strip, ragged row tails, the ResNet 7x7/s2 stem,
-// and fused ReLU. Each runs over the exact, wide-halo and random-tile
-// windows of sweep_windows.
+// Shapes aimed at every edge of the vectorized conv micro-kernel (a block of
+// output positions × a block of 8 output channels of one group): channel
+// tails that are not a multiple of the block and groups smaller than one
+// block (depthwise), strides 2 and 3, dilation 2, rows narrower than one
+// position block, ragged row tails, the ResNet 7x7/s2 stem, and fused ReLU.
+// Each runs over the exact, wide-halo and random-tile windows of
+// sweep_windows, on every micro-kernel variant the CPU runs.
 TEST(FastPathPerf, MicroKernelEdgeShapes) {
   struct EdgeCase {
     const char* label;
@@ -380,21 +388,30 @@ TEST(FastPathPerf, MicroKernelEdgeShapes) {
       {"points-not-block-multiple", Shape{1, 6, 5, 7}, {3, 3}, {1, 1}, {1, 1},
        {1, 1}, 16, 1, false},
   };
-  Rng rng(0xed9e5);
-  u64 seed = 0xb000;
-  for (const EdgeCase& c : cases) {
-    Graph g("edge");
-    const int x = g.add_input("in", c.in);
-    const int node = g.add_conv(x, "op", c.kernel, c.out_channels, c.stride,
-                                c.padding, c.dilation, c.groups, c.relu);
-    sweep_windows(g, node, &rng, ++seed, c.label);
+  // Every compiled micro-kernel this CPU runs, not only the widest that
+  // conv_region picks.
+  const std::vector<ConvMicrokernelVariant> variants =
+      conv_microkernel_variants();
+  ASSERT_FALSE(variants.empty());
+  for (size_t v = 0; v < variants.size(); ++v) {
+    SCOPED_TRACE(std::string("micro-kernel ") + variants[v].isa);
+    Rng rng(0xed9e5);
+    u64 seed = 0xb000;
+    for (const EdgeCase& c : cases) {
+      Graph g("edge");
+      const int x = g.add_input("in", c.in);
+      const int node = g.add_conv(x, "op", c.kernel, c.out_channels, c.stride,
+                                  c.padding, c.dilation, c.groups, c.relu);
+      sweep_windows(g, node, &rng, ++seed, c.label, static_cast<int>(v));
+    }
+    // Transposed stride-1 convs share the interior path (negative tap
+    // steps).
+    Graph g("edge_transposed");
+    const int x = g.add_input("in", Shape{1, 5, 6, 9});
+    const int node =
+        g.add_deconv(x, "op", Dims{3, 3}, 6, Dims{1, 1}, Dims{1, 1});
+    sweep_windows(g, node, &rng, ++seed, "transposed-m6", static_cast<int>(v));
   }
-  // Transposed stride-1 convs share the interior path (negative tap steps).
-  Graph g("edge_transposed");
-  const int x = g.add_input("in", Shape{1, 5, 6, 9});
-  const int node =
-      g.add_deconv(x, "op", Dims{3, 3}, 6, Dims{1, 1}, Dims{1, 1});
-  sweep_windows(g, node, &rng, ++seed, "transposed-m6");
 }
 
 // Fused ReLU in the vector kernel uses the scalar path's predicate: -0.0

@@ -1,8 +1,8 @@
-// Vendor tiles on a thread pool (DESIGN.md §9.6): run_node_tiled with a pool
+// Vendor tiles on a worker team (DESIGN.md §9.6): run_node_tiled with a team
 // must fill every output element exactly once with the bits of the serial
-// tile sweep, refine its tiles so every pool worker gets work, keep global
+// tile sweep, refine its tiles so every team member gets work, keep global
 // ops a single call, and surface a faulting tile as a classified
-// kKernelFailure. Also the run-scoped pool's contract at the subgraph API.
+// kKernelFailure. Also the run-scoped team's contract at the subgraph API.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -80,7 +80,7 @@ struct TiledRun {
 /// Run the graph's last node through run_node_tiled over the eager outputs
 /// of its producers, into an output pre-filled with NaN canaries.
 TiledRun run_tiled(const Graph& g, const std::vector<Tensor>& eager,
-                   WeightStore& ws, i64 tile_side, ThreadPool* pool) {
+                   WeightStore& ws, i64 tile_side, WorkerTeam* pool) {
   const Node& node = g.node(g.num_nodes() - 1);
   CountingBackend backend(g, ws, kWorkers);
   std::unordered_map<int, TensorId> io;
@@ -128,7 +128,7 @@ void check_pooled_matches_serial(const Graph& g) {
   const Tensor& oracle = eager.back();
 
   for (int threads : {1, kWorkers}) {
-    ThreadPool pool(threads);
+    WorkerTeam pool(threads);
     for (i64 tile_side : {i64{32}, i64{5}}) {
       SCOPED_TRACE(std::to_string(threads) + " threads, tile_side " +
                    std::to_string(tile_side));
@@ -223,7 +223,7 @@ TEST(EnginePool, GlobalOpsStayOneCall) {
     Rng rng(5);
     input.fill_random(rng);
     const std::vector<Tensor> eager = run_graph_eager(*g, input, ws);
-    ThreadPool pool(kWorkers);
+    WorkerTeam pool(kWorkers);
     const TiledRun pooled = run_tiled(*g, eager, ws, 32, &pool);
     EXPECT_EQ(pooled.globals, 1);
     EXPECT_EQ(pooled.computes, 0);
@@ -240,7 +240,7 @@ TEST(EnginePool, RejectsPoolLargerThanBackend) {
                                               Layout::kCanonical, {}, "in");
   const TensorId out = backend.register_tensor(g.node(1).out_shape,
                                                Layout::kCanonical, {}, "out");
-  ThreadPool pool(kWorkers);
+  WorkerTeam pool(kWorkers);
   PlannedSubgraph planned;
   planned.sg.nodes = {1};
   planned.sg.external_inputs = {0};

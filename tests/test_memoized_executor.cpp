@@ -43,7 +43,7 @@ MemoRun run_memoized(const Graph& g, const Subgraph& sg,
 
   MemoizedExecutor exec(g, sg, brick_extent, backend, io, workers);
   if (parallel) {
-    ThreadPool pool(workers);
+    WorkerTeam pool(workers);
     EXPECT_TRUE(exec.run_parallel_checked(pool).ok());
   } else {
     EXPECT_TRUE(exec.run_checked().ok());
@@ -156,7 +156,7 @@ TEST(MemoizedExecutor, ExactlyOncePerReachableBrickAcrossWorkerCounts) {
 
         MemoizedExecutor exec(g, sg, brick_extent, backend, io, workers);
         if (parallel) {
-          ThreadPool pool(workers);
+          WorkerTeam pool(workers);
           ASSERT_TRUE(exec.run_parallel_checked(pool).ok());
         } else {
           ASSERT_TRUE(exec.run_checked().ok());

@@ -490,7 +490,7 @@ TEST(ObsMemoStats, MidRunSnapshotIsMonotonicAndConverges) {
     }
   });
 
-  ThreadPool pool(workers);
+  WorkerTeam pool(workers);
   EXPECT_TRUE(exec.run_parallel_checked(pool).ok());
   done.store(true, std::memory_order_release);
   poller.join();

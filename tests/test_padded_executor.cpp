@@ -38,7 +38,7 @@ void check_padded_matches_reference(const Graph& g, const Subgraph& sg,
   const HaloPlan plan(g, sg, brick_extent);
   PaddedExecutor exec(g, sg, plan, backend, io);
   if (parallel) {
-    ThreadPool pool(workers);
+    WorkerTeam pool(workers);
     ASSERT_TRUE(exec.run_checked(&pool).ok());
   } else {
     ASSERT_TRUE(exec.run_checked().ok());

@@ -326,7 +326,7 @@ StallRun run_with_injection(bool parallel, FaultKind kind, i64 max_fires) {
   MemoizedExecutor exec(g, sg, brick_extent, backend, io, workers, {64, 200});
   StallRun r;
   if (parallel) {
-    ThreadPool pool(workers);
+    WorkerTeam pool(workers);
     r.status = exec.run_parallel_checked(pool);
   } else {
     r.status = exec.run_checked();

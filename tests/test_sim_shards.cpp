@@ -7,7 +7,8 @@
 //    executors' emission order or the planner that moves a single
 //    transaction fails here. The `fig08_resnet50_subgraphs --quick`
 //    subgraphs, each run alone as vendor, padded and memoized, are pinned
-//    the same way.
+//    the same way, and so are the L1, L2 and DRAM transactions that
+//    `fig09_resnet50_datamovement --quick` prints for them.
 //  * MemSimShards: seeded randomized streams on the sharded L2 geometries
 //    (the A100's 16-bit tags and a 20 MB L2's 32-bit tags) compared after
 //    every step, and at random points mid-step, against an in-test
@@ -171,6 +172,57 @@ TEST(SimGolden, Fig08QuickResNet50Subgraphs) {
       want.atomics_conflict = w[5];
       expect_counters(got.txns, want);
       EXPECT_EQ(got.invocations, w[6]);
+    }
+  }
+}
+
+/// `fig09_resnet50_datamovement --quick`: the first 7 merged subgraphs of
+/// the same plan as fig08 (it merges 6), each run as cuDNN-tiled vendor,
+/// padded and memoized bricks. Rows hold the {L1, L2, DRAM} transactions the
+/// figure prints, per variant; the vendor row is the base of its ratios.
+TEST(SimGolden, Fig09QuickResNet50DataMovement) {
+  constexpr i64 kWant[6][3][3] = {
+      {{2203808, 2203808, 1311014},
+       {2422156, 2422156, 401702},
+       {2773072, 2773072, 409894}},
+      {{3883520, 3883520, 2133085},
+       {4290688, 4290688, 502336},
+       {4100224, 4100224, 1137021}},
+      {{3680768, 3680768, 2028202},
+       {4778048, 4778048, 803360},
+       {3896384, 3896384, 1333455}},
+      {{3680768, 3680768, 2028202},
+       {4778048, 4778048, 803360},
+       {3896384, 3896384, 1333455}},
+      {{2244608, 2012576, 1086976},
+       {2806272, 2806272, 368128},
+       {3311616, 3125248, 519680}},
+      {{3200, 642, 45},
+       {950, 454, 415},
+       {950, 454, 415}},
+  };
+  const Graph graph = build_resnet50(quick_config(16, 224, 4));
+  const EngineOptions options;
+  const Partition partition = partition_graph(graph, options.partition);
+  std::vector<const PlannedSubgraph*> merged;
+  for (const PlannedSubgraph& planned : partition.subgraphs) {
+    if (planned.strategy == Strategy::kVendor) continue;
+    merged.push_back(&planned);
+    if (merged.size() == 7) break;
+  }
+  ASSERT_EQ(merged.size(), std::size(kWant));
+  const Strategy kVariants[] = {Strategy::kVendor, Strategy::kPadded,
+                                Strategy::kMemoized};
+  for (size_t i = 0; i < merged.size(); ++i) {
+    for (size_t v = 0; v < std::size(kVariants); ++v) {
+      SCOPED_TRACE("subgraph " + std::to_string(i + 1) + " " +
+                   strategy_name(kVariants[v]));
+      const TxnCounters got =
+          fig08_subgraph_counters(graph, *merged[i], kVariants[v], options)
+              .txns;
+      EXPECT_EQ(got.l1, kWant[i][v][0]);
+      EXPECT_EQ(got.l2, kWant[i][v][1]);
+      EXPECT_EQ(got.dram(), kWant[i][v][2]);
     }
   }
 }

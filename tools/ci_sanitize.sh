@@ -2,9 +2,12 @@
 # Sanitizer matrix for the concurrency-sensitive and fuzzed code paths.
 #
 #   1. ThreadSanitizer:   memoized executor (run_parallel CAS protocol),
-#                         thread pool, vendor tiles on the run-scoped pool
-#                         (EnginePool), the resilience suite (stall
-#                         watchdog, tag repair, fault injection),
+#                         thread pool, the worker team (WorkerTeam: the
+#                         lock-free region handoff, spin-then-park, nested
+#                         and overlapping regions), vendor tiles on the
+#                         run-scoped team (EnginePool), the resilience
+#                         suite (stall watchdog, tag repair, fault
+#                         injection),
 #                         the observability suite (concurrent metrics,
 #                         trace ring buffers, mid-run stats snapshots), the
 #                         serving suite (submitter threads racing the batch
@@ -50,7 +53,7 @@ STAGES=${STAGES:-"tsan asan release"}
 run_stage() { [[ " $STAGES " == *" $1 "* ]]; }
 
 if run_stage tsan; then
-  echo "== [tsan] ThreadSanitizer: memoized / thread-pool / engine-pool / resilience / obs / serve / pipeline / partition / sim / activation-lifetime =="
+  echo "== [tsan] ThreadSanitizer: memoized / thread-pool / worker-team / engine-pool / resilience / obs / serve / pipeline / partition / sim / activation-lifetime =="
   cmake -B "$SRC_DIR/build-tsan" -S "$SRC_DIR" -DBRICKDL_SANITIZE=thread
   cmake --build "$SRC_DIR/build-tsan" -j "$JOBS" \
         --target brickdl_tests --target brickdl_resilience_tests \
@@ -58,7 +61,7 @@ if run_stage tsan; then
         --target brickdl_pipeline_tests --target brickdl_partition_tests \
         --target brickdl_sim_tests
   ctest --test-dir "$SRC_DIR/build-tsan" --output-on-failure --timeout 600 \
-        -R 'MemoizedExecutor|ThreadPool|EnginePool|Resilience|Obs|Serve|Pipeline|PartitionerProperties|MemSimShards|SimGolden|ActivationLifetime'
+        -R 'MemoizedExecutor|ThreadPool|WorkerTeam|EnginePool|Resilience|Obs|Serve|Pipeline|PartitionerProperties|MemSimShards|SimGolden|ActivationLifetime'
 fi
 
 if run_stage asan; then
